@@ -81,9 +81,9 @@ smoke-ftl:
 
 # smoke-banked is the backend-sweep acceptance smoke: the tiny
 # banked+fence grid (spaces/banked-smoke.json) run locally, through a
-# wbserve worker with a checkpoint resume, and as a pure journal replay
-# must render byte-identical frontier artifacts — the reproducibility
-# recipe behind results/banked_frontier.json.
+# wbserve worker with a store resume, and as a pure store replay must
+# render byte-identical frontier artifacts — the reproducibility recipe
+# behind results/banked_frontier.json.
 smoke-banked:
 	bash scripts/banked_smoke.sh
 

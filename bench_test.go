@@ -12,6 +12,7 @@
 package repro
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,7 +37,10 @@ func benchmarkExperiment(b *testing.B, id string) {
 	var rep *experiment.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep = e.Run(opts)
+		var err error
+		if rep, err = e.Run(context.Background(), opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if rep == nil || len(rep.Rows) == 0 {

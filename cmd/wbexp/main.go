@@ -7,13 +7,13 @@
 //	wbexp -exp fig6 -plot      # with a stacked-bar rendition
 //	wbexp -all -n 2000000      # everything, 2M instructions per run
 //
-// Sweeps can run on a pool of remote workers and/or journal their
-// progress for resumption (see docs/DISTRIBUTED.md):
+// Sweeps can run on a pool of remote workers and/or keep their results in
+// a shared store, which also makes them resumable (see
+// docs/DISTRIBUTED.md):
 //
 //	wbexp -exp fig5 -workers host1:8101,host2:8101   # shard across wbserve -worker processes
-//	wbexp -all -checkpoint sweep.jsonl               # kill it, rerun it, it resumes
+//	wbexp -all -store /var/lib/wb/results            # kill it, rerun it, it resumes; shared with wbserve/wbopt
 //	wbexp -all -workers host1:8101 -verify 0.05      # spot-check 5% of remote results locally
-//	wbexp -all -store /var/lib/wb/results            # share paid-for results with wbserve/wbopt
 //
 // Beyond the registered paper items, -config sweeps caller-supplied
 // machines: each entry — a machconf JSON file (wbsim -dump-config writes
@@ -34,6 +34,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -60,8 +61,7 @@ func main() {
 		svg        = flag.String("svg", "", "directory to write one SVG figure per configuration column")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line on stderr")
 		workersCSV = flag.String("workers", "", "comma-separated wbserve -worker addresses to dispatch sweep jobs to")
-		checkpoint = flag.String("checkpoint", "", "JSONL journal path; completed jobs are skipped when the sweep reruns")
-		storeDir   = flag.String("store", "", "shared content-addressed result-store directory (same as wbserve/wbopt -store); jobs any process already paid for are never re-simulated")
+		storeDir   = flag.String("store", "", "shared content-addressed result-store directory (same as wbserve/wbopt -store); jobs any process already paid for are never re-simulated, so a killed sweep resumes when rerun")
 		verify     = flag.Float64("verify", 0, "fraction (0..1] of remote jobs to re-execute locally; any divergence aborts the sweep")
 		configCSV  = flag.String("config", "", "comma-separated machconf JSON files; sweeps them as one custom experiment")
 		dumpConfig = flag.Bool("dump-config", false, "print the baseline machine's canonical machconf JSON and exit")
@@ -76,7 +76,6 @@ func main() {
 
 	backend, closeBackend, err := dispatch.BuildBackendOpts(dispatch.BuildOptions{
 		Workers:        *workersCSV,
-		Checkpoint:     *checkpoint,
 		Store:          *storeDir,
 		VerifyFraction: *verify,
 		Logf:           func(format string, args ...any) { fmt.Fprintf(os.Stderr, "wbexp: "+format+"\n", args...) },
@@ -164,20 +163,11 @@ func progressFor(quiet bool, name string) func(experiment.ProgressEvent) {
 }
 
 func runOne(e experiment.Experiment, n uint64, plot bool, svgDir string, backend dispatch.Backend, progress func(experiment.ProgressEvent)) {
-	// A distributed sweep can fail operationally (worker pool exhausted);
-	// the harness surfaces that as a typed panic because the experiment
-	// registry's Run functions have no error channel.  Turn it back into
-	// a clean exit instead of a stack trace.
-	defer func() {
-		if p := recover(); p != nil {
-			if be, ok := p.(*experiment.BackendError); ok {
-				fmt.Fprintf(os.Stderr, "wbexp: %s: %v\n", e.ID, be)
-				os.Exit(1)
-			}
-			panic(p)
-		}
-	}()
-	rep := e.Run(experiment.Options{Instructions: n, Progress: progress, Backend: backend})
+	rep, err := e.Run(context.Background(), experiment.Options{Instructions: n, Progress: progress, Backend: backend})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wbexp: %s: %v\n", e.ID, err)
+		os.Exit(1)
+	}
 	if _, err := rep.WriteTo(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "wbexp: %v\n", err)
 		os.Exit(1)

@@ -11,7 +11,7 @@
 //	wbopt -strategy grid                           # exhaustive reference sweep
 //	wbopt -space space.json -budget 200 -seed 7    # a custom space under a budget
 //	wbopt -workers host1:8101,host2:8101           # fan out to wbserve -worker pools
-//	wbopt -checkpoint opt.jsonl                    # kill it, rerun it, it resumes
+//	wbopt -store /var/lib/wb/results               # kill it, rerun it, it resumes
 //	wbopt -out frontier.json -stats-out bench.json # machine-readable artifacts
 //
 // The budget counts full-length (configuration × benchmark) simulations;
@@ -55,8 +55,7 @@ func main() {
 		out        = flag.String("out", "", "write the canonical result JSON (frontier, rankings) to this file")
 		statsOut   = flag.String("stats-out", "", "write wall-clock search statistics (jobs/sec, sims skipped) to this JSON file")
 		workersCSV = flag.String("workers", "", "comma-separated wbserve -worker addresses to dispatch simulations to")
-		checkpoint = flag.String("checkpoint", "", "JSONL journal path; completed simulations are skipped when the search reruns")
-		storeDir   = flag.String("store", "", "shared content-addressed result-store directory (same as wbserve/wbexp -store); simulations any process already paid for are never re-run")
+		storeDir   = flag.String("store", "", "shared content-addressed result-store directory (same as wbserve/wbexp -store); simulations any process already paid for are never re-run, so a killed search resumes when rerun")
 		verify     = flag.Float64("verify", 0, "fraction (0..1] of remote simulations to re-execute locally; any divergence aborts the search")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line on stderr")
 	)
@@ -78,7 +77,6 @@ func main() {
 	reg := metrics.NewRegistry()
 	backend, closeBackend, err := dispatch.BuildBackendOpts(dispatch.BuildOptions{
 		Workers:        *workersCSV,
-		Checkpoint:     *checkpoint,
 		Store:          *storeDir,
 		VerifyFraction: *verify,
 		Metrics:        reg,
@@ -102,16 +100,16 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the search context: dispatch stops promptly
-	// (mid-backoff and mid-hedge included) and, with -checkpoint, the
-	// journal holds every finished simulation for the rerun to resume.
+	// (mid-backoff and mid-hedge included) and, with -store, the store
+	// holds every finished simulation for the rerun to resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
 	res, err := strat.Search(ctx, space, env)
 	if err != nil {
-		if ctx.Err() != nil && *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "wbopt: interrupted; rerun with -checkpoint %s to resume\n", *checkpoint)
+		if ctx.Err() != nil && *storeDir != "" {
+			fmt.Fprintf(os.Stderr, "wbopt: interrupted; rerun with -store %s to resume\n", *storeDir)
 		}
 		fatalf("%v", err)
 	}

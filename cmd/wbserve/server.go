@@ -474,7 +474,8 @@ func resolveBench(name string) (workload.Benchmark, bool) {
 // is in hand and the memory tier serves it for this process's lifetime —
 // but gets NO done marker: the journal's documented invariant is "done =
 // the result is durably in the store", and replay re-runs the job once the
-// disk recovers.
+// disk recovers.  A failed or unstored job is released from the queue's
+// in-flight set, so a resubmission can run it again.
 func (s *server) dispatchLoop(ctx context.Context) {
 	defer s.wg.Done()
 	dispatched := s.reg.Counter("wbserve_dispatched_jobs_total")
@@ -512,11 +513,14 @@ func (s *server) dispatchLoop(ctx context.Context) {
 			// a resubmission (or the post-restart replay) retries it.
 			failures.Inc()
 			s.logf("wbserve: job %s failed: %v", job.Key, err)
+			s.queue.Release(job.Key)
 			s.runs.fail(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label})
 			continue
 		}
 		if stored {
 			_ = s.queue.Done(job.Key)
+		} else {
+			s.queue.Release(job.Key)
 		}
 		jt := time.Since(start)
 		s.reg.Counter("experiment_jobs_total").Inc()
@@ -568,7 +572,7 @@ func (s *server) handler() http.Handler {
 		// registry /metrics exports.  The shared readiness state makes
 		// the worker refuse jobs (503 → dispatcher retries elsewhere)
 		// once draining begins.
-		jobs := dispatch.WorkerHandlerState(s.reg, s.ready)
+		jobs := dispatch.WorkerHandler(s.reg, s.ready)
 		mux.Handle("POST /job", s.instrument("/job", jobs.ServeHTTP))
 	}
 	// Profiles and expvar can read process internals and burn CPU; with a

@@ -15,7 +15,7 @@
 // retirement-latency statistics into such a registry; and
 // experiment.Options carries the Progress callback (live sweep reporting
 // via experiment.ProgressReporter) and the Metrics registry that
-// RunMatrixOpts feeds per-job throughput into.
+// RunMatrixCtx feeds per-job throughput into.
 //
 // On top of the harness sits a design-space search subsystem
 // (internal/explore): a Space enumerates legal machines, strategies spend a

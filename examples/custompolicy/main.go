@@ -7,9 +7,9 @@
 // It demonstrates two extension points together: core.RetirementPolicy
 // (any type with a NextStart method plugs into the machine) and the
 // machconf policy registry (registering a codec makes the policy
-// wire-encodable, so it can journal into checkpoints, travel to
-// wbserve -worker processes, and be requested through wbserve's /run
-// config blob — see docs/DISTRIBUTED.md).
+// wire-encodable, so its results can be kept in the result store, and it
+// can travel to wbserve -worker processes and be requested through
+// wbserve's /run config blob — see docs/DISTRIBUTED.md).
 //
 //	go run ./examples/custompolicy
 package main

@@ -98,7 +98,6 @@ func (s Stats) WriteHitRate() float64 {
 // slices indirection on the simulator's hot path.  Direct-mapped lookups
 // (every paper L1 configuration) take a branch-free single-way fast path.
 type Cache struct {
-	cfg       Config
 	ways      []way
 	assoc     int
 	setMask   mem.Addr
@@ -115,16 +114,12 @@ func New(cfg Config) *Cache {
 	}
 	nSets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
 	return &Cache{
-		cfg:       cfg,
 		ways:      make([]way, nSets*cfg.Assoc),
 		assoc:     cfg.Assoc,
 		setMask:   mem.Addr(nSets - 1),
 		lineShift: mem.Log2(cfg.LineBytes),
 	}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }

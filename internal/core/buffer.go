@@ -137,9 +137,6 @@ func NewBuffer(cfg Config) *Buffer {
 	}
 }
 
-// Config returns the buffer's configuration.
-func (b *Buffer) Config() Config { return b.cfg }
-
 // Stats returns a copy of the event counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 

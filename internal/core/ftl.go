@@ -90,8 +90,7 @@ type FTLStats struct {
 // array partitioned into NumBuffers rings of perBuf slots each; buffer b's
 // ring occupies buf[b*perBuf : (b+1)*perBuf] with its own rotating head.
 type FTL struct {
-	cfg  Config
-	spec FTLOrg
+	cfg Config
 
 	buf    []Entry // len == Depth, partitioned per buffer
 	heads  []int   // per-buffer ring head index (within the ring)
@@ -127,7 +126,6 @@ func NewFTL(cfg Config, spec FTLOrg) *FTL {
 	wordShift := mem.Log2(cfg.Geometry.WordBytes())
 	return &FTL{
 		cfg:        cfg,
-		spec:       spec,
 		buf:        make([]Entry, cfg.Depth),
 		heads:      make([]int, spec.NumBuffers),
 		counts:     make([]int, spec.NumBuffers),
@@ -143,12 +141,6 @@ func NewFTL(cfg Config, spec FTLOrg) *FTL {
 		},
 	}
 }
-
-// Config returns the buffer geometry.
-func (f *FTL) Config() Config { return f.cfg }
-
-// Spec returns the organization parameters.
-func (f *FTL) Spec() FTLOrg { return f.spec }
 
 // homeBuf returns the buffer a tag stripes to.
 func (f *FTL) homeBuf(tag mem.Addr) int { return int(tag) & f.bufMask }

@@ -50,9 +50,6 @@ func NewWriteCache(cfg Config) *WriteCache {
 	}
 }
 
-// Config returns the cache's configuration.
-func (w *WriteCache) Config() Config { return w.cfg }
-
 // Stats returns the event counters.  Retirements counts evictions here.
 func (w *WriteCache) Stats() Stats { return w.stats }
 

@@ -22,22 +22,23 @@ var ErrResultNotStored = errors.New("result not durably stored")
 
 // Cached wraps any Backend with the platform's shared content-addressed
 // result store (internal/resultstore).  Before a job reaches the inner
-// backend — local execution, a remote pool, a checkpoint journal — the
-// store is consulted under the canonical `bench|n|machconf-hash` key; a
-// hit returns the stored measurement without simulating anything, and a
-// miss simulates once and persists the result for every future process,
-// tenant, and CLI that asks for the same machine.
+// backend — local execution or a remote pool — the store is consulted
+// under the canonical `bench|n|machconf-hash` key; a hit returns the
+// stored measurement without simulating anything, and a miss simulates
+// once and persists the result for every future process, tenant, and CLI
+// that asks for the same machine.
 //
-// The checkpoint journal answers "resume this sweep"; the store answers
-// "never pay for the same simulation twice, anywhere".  Stacked as
-// Cached(Checkpointed(Remote)) — the shape BuildBackendOpts builds — the
-// store is the outermost, cross-process tier.
+// The store is also the sweep's resume record.  Each finished job is put
+// (written, fsynced, renamed) before Run returns it, so a sweep killed
+// midway and rerun over the same store simulates only the jobs it had not
+// finished.  Cached(Remote) or Cached(Local) is the shape
+// BuildBackendOpts builds.
 //
-// Stored payloads are label-stripped (the label is presentation, exactly
-// as the checkpoint journal treats it) and re-labelled per request, so
-// sweeps that name their columns differently still share entries.  Jobs
-// whose configuration has no canonical machconf encoding (an unregistered
-// custom policy) pass through uncached.
+// Stored payloads are label-stripped (the label is presentation) and
+// re-labelled per request, so sweeps that name their columns differently
+// still share entries.  Jobs whose configuration has no canonical
+// machconf encoding (an unregistered custom policy) pass through
+// uncached.
 type Cached struct {
 	inner  Backend
 	store  resultstore.KV

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -11,16 +12,37 @@ import (
 	"repro/internal/sim"
 )
 
-// execCounting counts how many jobs actually execute.
-type execCounting struct {
+// countingBackend counts the jobs that reach it.  It runs them on inner
+// when set, and otherwise returns a cheap synthetic measurement.
+type countingBackend struct {
 	inner Backend
 	runs  atomic.Int64
 }
 
-func (c *execCounting) Run(ctx context.Context, job Job) (Measurement, error) {
+func (c *countingBackend) Run(ctx context.Context, job Job) (Measurement, error) {
 	c.runs.Add(1)
-	return c.inner.Run(ctx, job)
+	if c.inner != nil {
+		return c.inner.Run(ctx, job)
+	}
+	return Measurement{Bench: job.Bench, Label: job.Label, WBHit: float64(job.N)}, nil
 }
+
+// hinted adds a Concurrency hint to a backend.
+type hinted struct {
+	Backend
+	k int
+}
+
+func (h hinted) Concurrency() int { return h.k }
+
+// customPolicy is a retirement policy with no registered machconf codec,
+// so the wire format cannot express it.
+type customPolicy struct{}
+
+func (customPolicy) NextStart(occ int, headAlloc, lastStart, now uint64) (uint64, bool) {
+	return now, occ > 0
+}
+func (customPolicy) Name() string { return "custom" }
 
 func openStore(t *testing.T, dir string, reg *metrics.Registry) *resultstore.Store {
 	t.Helper()
@@ -37,7 +59,7 @@ func openStore(t *testing.T, dir string, reg *metrics.Registry) *resultstore.Sto
 func TestCachedRunsOncePerStore(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	counting := &execCounting{inner: &Local{}}
+	counting := &countingBackend{inner: &Local{}}
 	cached := NewCached(counting, openStore(t, dir, nil), reg)
 
 	job := Job{Bench: "li", Label: "first", Cfg: sim.Baseline(), N: 50_000}
@@ -78,7 +100,7 @@ func TestCachedRunsOncePerStore(t *testing.T) {
 	// "Restart": a new Cached over the same directory — the simulated
 	// process boundary.  Zero further executions.
 	reg2 := metrics.NewRegistry()
-	counting2 := &execCounting{inner: &Local{}}
+	counting2 := &countingBackend{inner: &Local{}}
 	cached2 := NewCached(counting2, openStore(t, dir, nil), reg2)
 	got, err = cached2.Run(context.Background(), Job{Bench: "li", Label: "renamed", Cfg: sim.Baseline(), N: 50_000})
 	if err != nil {
@@ -178,28 +200,75 @@ func TestBuildBackendWithStore(t *testing.T) {
 	}
 }
 
-// Store + checkpoint compose: the checkpoint journal records only jobs
-// the store did not already answer.
-func TestBuildBackendStoreOverCheckpoint(t *testing.T) {
+// Kill a sweep partway, rerun it over the same store: only the remaining
+// jobs may reach the inner backend, and the stored measurements must be
+// what the first run returned.
+func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
+	var jobs []Job
+	for _, bench := range []string{"li", "compress", "espresso"} {
+		for _, depth := range []int{4, 8} {
+			jobs = append(jobs, Job{Bench: bench, Label: fmt.Sprintf("d%d", depth),
+				Cfg: sim.Baseline().WithDepth(depth), N: 1000})
+		}
+	}
+
+	// First run: complete 4 of 6 jobs, then "die".
+	first := NewCached(&countingBackend{}, openStore(t, dir, nil), nil)
+	want := map[int]Measurement{}
+	for i, job := range jobs[:4] {
+		m, err := first.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+
+	// Resumed run over the full sweep, in a fresh "process".
+	inner2 := &countingBackend{}
 	reg := metrics.NewRegistry()
-	backend, cleanup, err := BuildBackendOpts(BuildOptions{
-		Store:      dir,
-		Checkpoint: dir + "/ckpt.jsonl",
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
+	resumed := NewCached(inner2, openStore(t, dir, nil), reg)
+	for i, job := range jobs {
+		m, err := resumed.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := want[i]; ok && m != w {
+			t.Errorf("stored measurement differs for %s/%s:\n got %+v\nwant %+v", job.Bench, job.Label, m, w)
+		}
 	}
-	job := Job{Bench: "li", Cfg: sim.Baseline(), N: 50_000}
-	if _, err := backend.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
+	if n := inner2.runs.Load(); n != 2 {
+		t.Errorf("resumed run executed %d jobs, want only the remaining 2", n)
 	}
-	if _, err := backend.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
+	if h, m := reg.Counter("dispatch_store_hits_total").Value(), reg.Counter("dispatch_store_misses_total").Value(); h != 4 || m != 2 {
+		t.Errorf("store hits/misses = %d/%d, want 4/2", h, m)
 	}
-	cleanup()
-	if n := reg.Counter("dispatch_checkpoint_appends_total").Value(); n != 1 {
-		t.Errorf("checkpoint appends = %d, want 1 (store should absorb the repeat)", n)
+}
+
+// A machine with no canonical machconf encoding has no store key; it must
+// pass through to the inner backend, executed every time and never stored.
+func TestCachedUnkeyablePassthrough(t *testing.T) {
+	inner := &countingBackend{}
+	cached := NewCached(inner, openStore(t, t.TempDir(), nil), nil)
+	job := Job{Bench: "li", Cfg: sim.Baseline().WithRetire(customPolicy{}), N: 1000}
+	for i := 0; i < 2; i++ {
+		if _, err := cached.Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := inner.runs.Load(); n != 2 {
+		t.Errorf("unkeyable job executed %d times, want 2 (never stored)", n)
+	}
+}
+
+// Concurrency must forward the inner backend's hint, so a sweep over
+// Cached(Remote) is as wide as the pool, not as the local core count.
+func TestCachedForwardsConcurrency(t *testing.T) {
+	store := openStore(t, t.TempDir(), nil)
+	if got := NewCached(&countingBackend{}, store, nil).Concurrency(); got != 0 {
+		t.Errorf("Concurrency() over a hint-less backend = %d, want 0", got)
+	}
+	if got := NewCached(hinted{&countingBackend{}, 7}, store, nil).Concurrency(); got != 7 {
+		t.Errorf("Concurrency() over a backend hinting 7 = %d, want 7", got)
 	}
 }

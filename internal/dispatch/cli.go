@@ -13,48 +13,40 @@ type BuildOptions struct {
 	// Workers is the comma-separated worker URL list (the -workers flag).
 	// Empty means in-process execution.
 	Workers string
-	// Checkpoint is the resumable journal path (the -checkpoint flag).
-	// Empty disables journaling.
-	Checkpoint string
 	// Store is the shared content-addressed result-store directory (the
 	// -store flag); a comma-separated list opens a replicated store
 	// mirroring across the listed directories.  Empty disables the store
 	// tier.  When set, the store wraps the whole stack: a sweep whose
 	// results any process already paid for — wbserve, wbexp, wbopt, any
-	// tenant — dispatches zero simulations.
+	// tenant — dispatches zero simulations.  Every finished job is put
+	// before it is returned, so rerunning a killed sweep with the same
+	// Store simulates only the jobs it had not finished.
 	Store string
 	// VerifyFraction, in (0, 1], re-executes that fraction of remote jobs
 	// locally and aborts on divergence (the -verify flag).
 	VerifyFraction float64
-	// Metrics, when non-nil, receives the dispatch and checkpoint series.
+	// Metrics, when non-nil, receives the dispatch and store series.
 	Metrics *metrics.Registry
-	// Logf, when non-nil, receives operational events: checkpoint replay
-	// and corruption reports, pool downgrades, verification divergences.
+	// Logf, when non-nil, receives operational events: store corruption
+	// reports, pool downgrades, verification divergences.
 	Logf func(format string, args ...any)
 }
 
-// BuildBackend assembles the execution stack the standard CLI flags
+// BuildBackendOpts assembles the execution stack the standard CLI flags
 // describe, shared by cmd/wbexp and cmd/wbopt: remote workers when
-// workersCSV is non-empty (in-process execution otherwise), wrapped in a
-// resumable checkpoint journal when checkpointPath is non-empty.  With
-// neither, the backend is nil and the experiment harness runs exactly its
-// default path.
-func BuildBackend(workersCSV, checkpointPath string, reg *metrics.Registry, logf func(format string, args ...any)) (Backend, func(), error) {
-	return BuildBackendOpts(BuildOptions{
-		Workers: workersCSV, Checkpoint: checkpointPath, Metrics: reg, Logf: logf,
-	})
-}
-
-// BuildBackendOpts is BuildBackend with the full option set.  Unlike the
-// bare Remote library type, the CLI stack turns the resilience defenses
-// on: hedged requests against the pool's p95 latency, graceful
+// opts.Workers is non-empty (in-process execution otherwise), behind the
+// shared content-addressed result store when opts.Store is set —
+// Cached(Remote) or Cached(Local).  With neither, the backend is nil and
+// the experiment harness runs exactly its default path.
+//
+// Unlike the bare Remote library type, the CLI stack turns the resilience
+// defenses on: hedged requests against the pool's p95 latency, graceful
 // degradation to local execution when every worker is gone, and (when
 // opts.VerifyFraction is set) seeded local re-verification of remote
-// results.  With opts.Store, the whole stack sits behind the shared
-// content-addressed result store — Cached(Checkpointed(Remote)) — so a
-// repeated sweep dispatches zero simulations regardless of which process
-// ran it first.  The returned cleanup closes whatever was built and is
-// safe to call exactly once.
+// results.  The store makes a repeated sweep dispatch zero simulations
+// regardless of which process ran it first, and makes a killed sweep
+// resumable.  The returned cleanup closes whatever was built and is safe
+// to call exactly once.
 func BuildBackendOpts(opts BuildOptions) (Backend, func(), error) {
 	cleanup := func() {}
 	var backend Backend
@@ -71,27 +63,6 @@ func BuildBackendOpts(opts BuildOptions) (Backend, func(), error) {
 		}
 		backend = rem
 		cleanup = rem.Close
-	}
-	if opts.Checkpoint != "" {
-		inner := backend
-		if inner == nil {
-			inner = &Local{}
-		}
-		ckpt, err := NewCheckpointedLogf(inner, opts.Checkpoint, opts.Metrics, opts.Logf)
-		if err != nil {
-			cleanup()
-			return nil, func() {}, err
-		}
-		if loaded, skipped := ckpt.Loaded(); (loaded > 0 || skipped > 0) && opts.Logf != nil {
-			opts.Logf("checkpoint %s: %d completed jobs replayed, %d unparsable lines skipped",
-				opts.Checkpoint, loaded, skipped)
-		}
-		innerCleanup := cleanup
-		cleanup = func() {
-			ckpt.Close()
-			innerCleanup()
-		}
-		backend = ckpt
 	}
 	if opts.Store != "" {
 		store, err := resultstore.OpenSpec(opts.Store, resultstore.Options{

@@ -7,26 +7,27 @@
 // and an instruction count, and every job is deterministic — the same Job
 // produces bit-identical Measurements on any machine running this code.
 // That determinism is what makes the distributed backends safe: a retried
-// job cannot produce a second, different answer, and a journaled result
-// can be replayed into a resumed sweep without re-running anything.
+// job cannot produce a second, different answer, and a stored result can
+// answer a resumed sweep without re-running anything.
 //
 // Three Backend implementations cover the deployment spectrum:
 //
-//   - Local runs the job in-process (the default used by
-//     experiment.RunMatrix when no backend is configured).
+//   - Local runs the job in-process (the default the experiment harness
+//     uses when no backend is configured).
 //   - Remote dispatches jobs over HTTP to a pool of `wbserve -worker`
 //     processes (the POST /job endpoint served by WorkerHandler), with
 //     per-job timeouts, bounded retries under exponential backoff with
 //     jitter, and quarantine plus background re-probing of workers that
 //     fail repeatedly.
-//   - Checkpointed wraps any backend with a JSONL journal keyed on the
-//     canonical (configuration, benchmark, n) hash, so a killed sweep
-//     resumes where it stopped.
+//   - Cached wraps either with the content-addressed result store
+//     (internal/resultstore), keyed on `bench|n|machconf-hash`: a job any
+//     process already paid for is never simulated again, and a killed
+//     sweep rerun over the same store resumes where it stopped.
 //
 // The experiment harness threads a Backend through
-// experiment.Options.Backend; cmd/wbexp exposes the remote and
-// checkpointed backends as the -workers and -checkpoint flags.  See
-// docs/DISTRIBUTED.md for the operator guide.
+// experiment.Options.Backend; cmd/wbexp and cmd/wbopt expose the remote
+// and store tiers as the -workers and -store flags (BuildBackendOpts).
+// See docs/DISTRIBUTED.md for the operator guide.
 package dispatch
 
 import (
@@ -50,7 +51,7 @@ type Job struct {
 	// Bench is the benchmark name (workload.ByName).
 	Bench string
 	// Label is the configuration's display label, carried through to the
-	// Measurement; it does not affect execution or checkpoint identity.
+	// Measurement; it does not affect execution or result identity.
 	Label string
 	// Cfg is the complete machine configuration.
 	Cfg sim.Config
@@ -62,7 +63,7 @@ type Job struct {
 // configuration) data point.  experiment.Measurement aliases this type, so
 // the harness and the backends share it.  Every field is a scalar or a
 // fixed-size array and survives a JSON round trip bit-exactly, which the
-// remote backend and the checkpoint journal depend on.
+// remote backend and the result store depend on.
 type Measurement struct {
 	Bench string
 	Label string

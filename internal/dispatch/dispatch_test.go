@@ -65,15 +65,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// customPolicy is a retirement policy with no registered machconf codec,
-// so the wire format cannot express it.
-type customPolicy struct{}
-
-func (customPolicy) NextStart(occ int, headAlloc, lastStart, now uint64) (uint64, bool) {
-	return now, occ > 0
-}
-func (customPolicy) Name() string { return "custom" }
-
 func TestWireRejectsCustomPolicy(t *testing.T) {
 	job := Job{Bench: "li", Cfg: sim.Baseline().WithRetire(customPolicy{}), N: 1000}
 	if _, err := encodeJob(job); err == nil {
@@ -96,7 +87,7 @@ func TestJobKey(t *testing.T) {
 	relabeled := base
 	relabeled.Label = "completely different"
 	if k2, _ := relabeled.Key(); k2 != k1 {
-		t.Error("label changed the key; checkpoints would miss across renamed sweeps")
+		t.Error("label changed the key; renamed sweeps would key their jobs differently")
 	}
 	for name, mutate := range map[string]func(*Job){
 		"bench": func(j *Job) { j.Bench = "compress" },
@@ -143,7 +134,7 @@ func TestLocalErrors(t *testing.T) {
 }
 
 func TestWorkerHandlerStatuses(t *testing.T) {
-	ts := httptest.NewServer(WorkerHandler(nil))
+	ts := httptest.NewServer(WorkerHandler(nil, nil))
 	defer ts.Close()
 
 	post := func(body string) int {

@@ -21,7 +21,7 @@ import (
 // defaults suited to LAN workers running million-instruction jobs; the
 // resilience features (hedging, local fallback, result verification) are
 // opt-in so library users get exactly the behaviour they configure, and
-// BuildBackend turns the defenses on for the CLIs.
+// BuildBackendOpts turns the defenses on for the CLIs.
 type RemoteOptions struct {
 	// JobTimeout bounds one dispatch attempt, connection to decoded
 	// response (default 2 minutes — a sim job is milliseconds to seconds,
@@ -412,7 +412,7 @@ func (r *Remote) maybeVerify(ctx context.Context, job Job, got Measurement) erro
 // answer is marked good, a worker whose attempt failed is marked bad, and
 // an attempt abandoned because the race was already won counts neither
 // way.  Exactly one measurement is returned no matter how many requests
-// were in flight, so checkpoints and the dispatched/failed counters never
+// were in flight, so the store and the dispatched/failed counters never
 // double-count a job.
 func (r *Remote) attempt(ctx context.Context, w *remoteWorker, body []byte, cfgHash string) (Measurement, error) {
 	delay, hedge := r.hedgeDelay()

@@ -9,13 +9,13 @@ import (
 )
 
 // The wire format is the JSON job description POST /job accepts and the
-// canonical form the checkpoint journal hashes.  The machine itself is not
+// canonical form Job.Key hashes.  The machine itself is not
 // described here at all: the config field carries a machconf canonical
 // blob, so the schema for the machine lives in exactly one place
 // (internal/machconf) and this file never changes when sim.Config grows a
 // field.  Any policy registered with the machconf registry — including
 // custom ones (examples/custompolicy) — travels to remote workers and into
-// checkpoint journals with no dispatch-side changes.
+// the result store with no dispatch-side changes.
 
 // wireJob is the JSON encoding of a Job: the benchmark coordinates plus
 // the machine's canonical form.
@@ -48,8 +48,9 @@ func decodeJob(w wireJob) (Job, error) {
 }
 
 // Key returns the job's canonical identity: the hex SHA-256 of its wire
-// encoding with the display label stripped, so a checkpointed result is
-// found again regardless of how a rerun labels its columns.  The embedded
+// encoding with the display label stripped, so a rerun that labels its
+// columns differently keys its jobs the same.  Remote's verify sampling
+// and faultline's fault targeting hash it.  The embedded
 // config blob is machconf's canonical form, so equal machines always key
 // equal.  Jobs whose configuration has no wire encoding have no key.
 func (j Job) Key() (string, error) {

@@ -33,17 +33,11 @@ import (
 // Both are permanent — the Remote backend does not retry them.  A worker
 // that is starting or draining answers 503 (transient; retry elsewhere).
 //
-// The handler is always ready; a worker with a real lifecycle (wbserve's
-// graceful shutdown) uses WorkerHandlerState with a shared Readiness.
-func WorkerHandler(reg *metrics.Registry) http.Handler {
-	return WorkerHandlerState(reg, nil)
-}
-
-// WorkerHandlerState is WorkerHandler with an explicit readiness state:
-// /healthz reports it (200 only when ready) and POST /job refuses work
-// with 503 while the worker is starting or draining.  A nil state means
-// always ready.
-func WorkerHandlerState(reg *metrics.Registry, rdy *Readiness) http.Handler {
+// rdy is the worker's lifecycle state: /healthz reports it (200 only when
+// ready) and POST /job refuses work with 503 while the worker is starting
+// or draining.  A nil rdy means always ready; wbserve passes the Readiness
+// its graceful shutdown flips.
+func WorkerHandler(reg *metrics.Registry, rdy *Readiness) http.Handler {
 	var (
 		jobs    *metrics.Counter
 		jobErrs *metrics.Counter

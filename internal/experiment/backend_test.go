@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/machconf"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -44,9 +44,9 @@ func TestLocalRemoteParity(t *testing.T) {
 	benches, specs := paritySuite(t)
 	const n = 50_000
 
-	local := RunMatrix(benches, specs, n)
+	local := runMatrix(t, benches, specs, Options{Instructions: n})
 
-	ts := httptest.NewServer(dispatch.WorkerHandler(nil))
+	ts := httptest.NewServer(dispatch.WorkerHandler(nil, nil))
 	defer ts.Close()
 	rem, err := dispatch.NewRemote([]string{ts.URL}, dispatch.RemoteOptions{})
 	if err != nil {
@@ -139,9 +139,9 @@ func TestLocalRemoteParityCustomPolicy(t *testing.T) {
 		t.Fatalf("custom-policy spec hash = %q, %v", h, err)
 	}
 
-	local := RunMatrix(benches, specs, n)
+	local := runMatrix(t, benches, specs, Options{Instructions: n})
 
-	ts := httptest.NewServer(dispatch.WorkerHandler(nil))
+	ts := httptest.NewServer(dispatch.WorkerHandler(nil, nil))
 	defer ts.Close()
 	rem, err := dispatch.NewRemote([]string{ts.URL}, dispatch.RemoteOptions{})
 	if err != nil {
@@ -186,55 +186,65 @@ func (c *countingLocal) count() int {
 	return c.runs
 }
 
-// Kill a checkpointed sweep midway (the backend starts failing), rerun it
-// against the same journal: the rerun executes only the jobs the first
-// run did not journal, and the final matrix matches a pure local run.
+// openStore opens the result store in dir, closing it when the test ends.
+// Each call is a fresh handle with an empty memory tier: the "process"
+// that reopens a killed sweep's store.
+func openStore(t *testing.T, dir string) *resultstore.Store {
+	t.Helper()
+	s, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// storedEntries counts the results a store holds on disk.
+func storedEntries(s *resultstore.Store) int {
+	n, _, _ := s.Stats()
+	return n
+}
+
+// Kill a store-backed sweep midway (the backend starts failing), rerun it
+// over the same store: the rerun executes only the jobs the first run did
+// not store, and the final matrix matches a pure local run.
 func TestMatrixCheckpointResume(t *testing.T) {
 	benches, specs := paritySuite(t)
 	const n = 30_000
 	total := len(benches) * len(specs)
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	dir := t.TempDir()
 
 	// First run: the inner backend dies after 2 jobs; the sweep must fail.
 	inner1 := &countingLocal{failAfter: 2}
-	ck1, err := dispatch.NewCheckpointed(inner1, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunMatrixCtx(context.Background(), benches, specs,
-		Options{Instructions: n, Backend: ck1})
-	ck1.Close()
+	_, err := RunMatrixCtx(context.Background(), benches, specs,
+		Options{Instructions: n, Backend: dispatch.NewCached(inner1, openStore(t, dir), nil)})
 	if err == nil {
 		t.Fatal("sweep succeeded despite a failing backend")
 	}
 
-	// Resumed run over the same journal with a healthy backend.
+	// Resumed run over the same store with a healthy backend.
 	inner2 := &countingLocal{}
-	ck2, err := dispatch.NewCheckpointed(inner2, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	journaled, _ := ck2.Loaded()
-	if journaled == 0 || journaled >= total {
-		t.Fatalf("first run journaled %d of %d jobs; expected a partial sweep", journaled, total)
+	store := openStore(t, dir)
+	stored := storedEntries(store)
+	if stored == 0 || stored >= total {
+		t.Fatalf("first run stored %d of %d jobs; expected a partial sweep", stored, total)
 	}
 	resumed, err := RunMatrixCtx(context.Background(), benches, specs,
-		Options{Instructions: n, Backend: ck2})
+		Options{Instructions: n, Backend: dispatch.NewCached(inner2, store, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := inner2.count(), total-journaled; got != want {
-		t.Errorf("resumed run executed %d jobs, want %d (journal already held %d)",
-			got, want, journaled)
+	if got, want := inner2.count(), total-stored; got != want {
+		t.Errorf("resumed run executed %d jobs, want %d (store already held %d)",
+			got, want, stored)
 	}
-	if local := RunMatrix(benches, specs, n); !reflect.DeepEqual(local, resumed) {
+	if local := runMatrix(t, benches, specs, Options{Instructions: n}); !reflect.DeepEqual(local, resumed) {
 		t.Errorf("resumed matrix differs from a pure local run:\nlocal   %+v\nresumed %+v", local, resumed)
 	}
 }
 
-// A backend failure must surface as an error from RunMatrixCtx and as a
-// recoverable *BackendError panic from the legacy RunMatrixOpts path.
+// A backend failure must surface as an error from RunMatrixCtx and from
+// a registered experiment's Run.
 func TestMatrixBackendErrorSurfacing(t *testing.T) {
 	benches, specs := paritySuite(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -248,25 +258,17 @@ func TestMatrixBackendErrorSurfacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	o := Options{Instructions: 10_000, Backend: rem}
+	o := Options{Instructions: 10_000, Benchmarks: benches, Backend: rem}
 
 	if _, err := RunMatrixCtx(context.Background(), benches, specs, o); err == nil {
 		t.Error("RunMatrixCtx returned no error from an all-failing pool")
 	}
-
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				t.Error("RunMatrixOpts did not panic on backend failure")
-				return
-			}
-			if _, ok := p.(*BackendError); !ok {
-				t.Errorf("panic value %T, want *BackendError", p)
-			}
-		}()
-		RunMatrixOpts(benches, specs, o)
-	}()
+	for _, id := range []string{"fig3", "table5"} {
+		e, _ := ByID(id)
+		if rep, err := e.Run(context.Background(), o); err == nil || rep != nil {
+			t.Errorf("%s.Run over an all-failing pool = (%v, %v), want (nil, error)", id, rep, err)
+		}
+	}
 }
 
 // A cancelled context must abort the sweep with the context's error.

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
-	"repro/internal/metrics"
 )
 
 // gatedBackend completes a fixed number of jobs, then parks every further
@@ -48,40 +46,35 @@ func (g *gatedBackend) Run(ctx context.Context, job dispatch.Job) (dispatch.Meas
 
 func (g *gatedBackend) Concurrency() int { return 4 }
 
-// Cancelling a checkpointed sweep mid-flight must stop RunMatrixCtx
+// Cancelling a store-backed sweep mid-flight must stop RunMatrixCtx
 // promptly with the cancellation error, leave the finished jobs in the
-// journal, and let a rerun complete executing only the remainder —
+// store, and let a rerun complete executing only the remainder —
 // cancellation loses time, never work.
 func TestMatrixCancelLeavesResumableCheckpoint(t *testing.T) {
 	benches, specs := paritySuite(t)
 	const n = 30_000
 	const completions = 2
 	total := len(benches) * len(specs)
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	dir := t.TempDir()
 
-	reg := metrics.NewRegistry()
 	gated := newGatedBackend(completions)
-	ck1, err := dispatch.NewCheckpointed(gated, path, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store1 := openStore(t, dir)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		// Cancel only after the finished jobs are journaled and a further
-		// job is parked, so the journal content is deterministic.
+		// Cancel only after the finished jobs are stored and a further
+		// job is parked, so the store content is deterministic.
 		<-gated.Parked
-		appends := reg.Counter("dispatch_checkpoint_appends_total")
-		for appends.Value() < completions {
+		for storedEntries(store1) < completions {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
 	}()
 	start := time.Now()
-	_, err = RunMatrixCtx(ctx, benches, specs, Options{Instructions: n, Backend: ck1})
+	_, err := RunMatrixCtx(ctx, benches, specs,
+		Options{Instructions: n, Backend: dispatch.NewCached(gated, store1, nil)})
 	elapsed := time.Since(start)
-	ck1.Close()
 	if err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
@@ -94,26 +87,21 @@ func TestMatrixCancelLeavesResumableCheckpoint(t *testing.T) {
 		t.Errorf("cancelled sweep took %v to stop", elapsed)
 	}
 
-	// Resume: only the unjournaled jobs may execute.
+	// Resume: only the unstored jobs may execute.
 	inner := &countingLocal{}
-	ck2, err := dispatch.NewCheckpointed(inner, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	journaled, _ := ck2.Loaded()
-	if journaled != completions {
-		t.Fatalf("journal holds %d jobs after cancellation, want %d", journaled, completions)
+	store2 := openStore(t, dir)
+	if stored := storedEntries(store2); stored != completions {
+		t.Fatalf("store holds %d jobs after cancellation, want %d", stored, completions)
 	}
 	resumed, err := RunMatrixCtx(context.Background(), benches, specs,
-		Options{Instructions: n, Backend: ck2})
+		Options{Instructions: n, Backend: dispatch.NewCached(inner, store2, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := inner.count(), total-completions; got != want {
 		t.Errorf("resumed run executed %d jobs, want %d", got, want)
 	}
-	if local := RunMatrix(benches, specs, n); !reflect.DeepEqual(local, resumed) {
+	if local := runMatrix(t, benches, specs, Options{Instructions: n}); !reflect.DeepEqual(local, resumed) {
 		t.Error("resumed matrix differs from a pure local run")
 	}
 }

@@ -17,9 +17,12 @@
 // Execution is pluggable.  Matrix jobs are fully independent and
 // deterministic, so Options.Backend can swap the in-process runner for
 // any internal/dispatch backend: a dispatch.Remote shards the sweep
-// across `wbserve -worker` processes, and a dispatch.Checkpointed
-// journals completed jobs so a killed sweep resumes where it stopped.
-// The default (nil) backend runs every job in this process, unchanged.
+// across `wbserve -worker` processes, and a dispatch.Cached stores every
+// completed job so a killed sweep, rerun over the same store, resumes
+// where it stopped.  The default (nil) backend runs every job in this
+// process, unchanged.  Experiment.Run takes a context and returns an
+// error, so a failed or cancelled distributed sweep reaches the caller as
+// an error.
 // docs/DISTRIBUTED.md is the operator guide for the distributed path.
 //
 // The per-experiment index in DESIGN.md maps every experiment ID here to
@@ -64,9 +67,9 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Backend, when non-nil, executes matrix jobs through
 	// internal/dispatch instead of in-process: dispatch.Remote shards a
-	// sweep across wbserve workers, dispatch.Checkpointed journals
-	// completed jobs for resumption, and dispatch.Local reproduces the
-	// default path explicitly.  nil keeps today's behaviour exactly.
+	// sweep across wbserve workers, dispatch.Cached stores completed jobs
+	// so a rerun resumes, and dispatch.Local reproduces the default path
+	// explicitly.  nil keeps today's behaviour exactly.
 	// Benchmarks handed to a matrix run must be name-resolvable
 	// (workload.ByName) for a distributed backend, since jobs travel by
 	// benchmark name; every registered experiment satisfies this.
@@ -95,18 +98,12 @@ type Measurement = dispatch.Measurement
 // Run executes one benchmark on one configuration.  The first quarter of
 // the stream is warm-up: it executes normally but is excluded from the
 // statistics, so cold-start misses do not distort hit rates the way they
-// would not in the paper's full-execution runs.
-func Run(b workload.Benchmark, label string, cfg sim.Config, n uint64) Measurement {
-	return runJob(b, label, cfg, n, nil)
-}
-
-// runJob is Run with optional metrics publication: when reg is non-nil the
-// finished machine's counters are folded into it.  Execution lives in
+// would not in the paper's full-execution runs.  Execution lives in
 // dispatch.ExecuteBench so the local path and the distributed workers run
 // byte-for-byte the same code; an invalid configuration panics, matching
 // the sim.MustNew behaviour this wrapped historically.
-func runJob(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) Measurement {
-	m, err := dispatch.ExecuteBench(b, label, cfg, n, reg)
+func Run(b workload.Benchmark, label string, cfg sim.Config, n uint64) Measurement {
+	m, err := dispatch.ExecuteBench(b, label, cfg, n, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -126,7 +123,7 @@ func (s ConfigSpec) Canonical() ([]byte, error) {
 }
 
 // Hash returns the machine's canonical machconf content address, the
-// identity the checkpoint journal and the wbserve result cache key on.
+// identity the result store and the wbserve result cache key on.
 func (s ConfigSpec) Hash() (string, error) {
 	return machconf.Hash(s.Cfg)
 }
@@ -140,52 +137,21 @@ func CustomSweep(specs []ConfigSpec) Experiment {
 		func() []ConfigSpec { return specs })
 }
 
-// RunMatrix runs every benchmark against every configuration, in parallel
-// across the machine's cores, and returns measurements indexed as
-// [benchmark][config] following the input orders.
-func RunMatrix(benches []workload.Benchmark, specs []ConfigSpec, n uint64) [][]Measurement {
-	return RunMatrixOpts(benches, specs, Options{Instructions: n})
-}
-
-// RunMatrixOpts is RunMatrix with observability: o.Progress is invoked
-// once per completed job (serialised, Done monotone from 1 to
-// len(benches)×len(specs)) and o.Metrics accumulates throughput and
-// simulator counters.  o.Instructions selects the per-run instruction
-// count; o.Benchmarks is ignored — the benchmark list is the explicit
-// argument.
+// RunMatrixCtx runs every benchmark against every configuration and
+// returns measurements indexed as [benchmark][config] following the input
+// orders.  o.Progress is invoked once per completed job (serialised, Done
+// monotone from 1 to len(benches)×len(specs)) and o.Metrics accumulates
+// throughput and simulator counters.  o.Instructions selects the per-run
+// instruction count; o.Benchmarks is ignored — the benchmark list is the
+// explicit argument.
 //
-// With a non-nil o.Backend, job execution can fail (a remote pool can
-// exhaust its retries); RunMatrixOpts surfaces that by panicking with a
-// *BackendError, since the registered experiments' Run functions have no
-// error channel.  Callers driving remote sweeps recover it at the top
-// (cmd/wbexp) or call RunMatrixCtx directly.
-func RunMatrixOpts(benches []workload.Benchmark, specs []ConfigSpec, o Options) [][]Measurement {
-	out, err := RunMatrixCtx(context.Background(), benches, specs, o)
-	if err != nil {
-		panic(&BackendError{Err: err})
-	}
-	return out
-}
-
-// BackendError wraps a dispatch-backend failure surfaced through the
-// panicking RunMatrixOpts path, so callers can recover it by type and
-// report it as an operational error rather than a crash.
-type BackendError struct{ Err error }
-
-func (e *BackendError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the dispatch error for errors.Is/As.
-func (e *BackendError) Unwrap() error { return e.Err }
-
-// RunMatrixCtx is the full-featured matrix runner: RunMatrixOpts plus a
-// context and an error return.  Jobs run on a pool of goroutines — sized
-// by GOMAXPROCS, or by the backend's Concurrency hint when it offers one
-// (a remote pool wants width proportional to its workers, not to local
-// cores).  With o.Backend nil every job executes in-process, exactly the
-// historical behaviour, and the only error source is ctx cancellation.
-// The first job failure cancels the remaining jobs and is returned; the
-// partial matrix is discarded (a checkpointing backend preserves the
-// completed jobs for the rerun).
+// Jobs run on a pool of goroutines — sized by GOMAXPROCS, or by the
+// backend's Concurrency hint when it offers one (a remote pool wants
+// width proportional to its workers, not to local cores).  With o.Backend
+// nil every job executes in-process, and a job fails only on a machine the
+// simulator rejects.  The first job failure, or ctx's cancellation, stops
+// the remaining jobs and is returned; the partial matrix is discarded (a
+// store-backed backend keeps the completed jobs for the rerun).
 func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options) ([][]Measurement, error) {
 	n := o.instructions()
 	out := make([][]Measurement, len(benches))
@@ -256,25 +222,22 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 					continue // drain; the sweep is aborting
 				}
 				start := time.Now()
-				var mnt Measurement
+				b, spec := benches[j.bi], specs[j.ci]
+				var (
+					mnt Measurement
+					err error
+				)
 				if o.Backend == nil {
-					mnt = runJob(benches[j.bi], specs[j.ci].Label, specs[j.ci].Cfg, n, o.Metrics)
+					mnt, err = dispatch.ExecuteBench(b, spec.Label, spec.Cfg, n, o.Metrics)
 				} else {
-					var err error
-					mnt, err = o.Backend.Run(ctx, dispatch.Job{
-						Bench: benches[j.bi].Name,
-						Label: specs[j.ci].Label,
-						Cfg:   specs[j.ci].Cfg,
-						N:     n,
-					})
-					if err != nil && !errors.Is(err, dispatch.ErrResultNotStored) {
-						fail(fmt.Errorf("experiment: job %s/%s: %w",
-							benches[j.bi].Name, specs[j.ci].Label, err))
-						continue
-					}
-					// ErrResultNotStored: the measurement is valid, only
-					// the store write failed — a full disk must not fail
-					// the sweep; the store's metrics record the miss.
+					mnt, err = o.Backend.Run(ctx, dispatch.Job{Bench: b.Name, Label: spec.Label, Cfg: spec.Cfg, N: n})
+				}
+				// ErrResultNotStored: the measurement is valid, only the
+				// store write failed — a full disk must not fail the sweep;
+				// the store's metrics record the miss.
+				if err != nil && !errors.Is(err, dispatch.ErrResultNotStored) {
+					fail(fmt.Errorf("experiment: job %s/%s: %w", b.Name, spec.Label, err))
+					continue
 				}
 				out[j.bi][j.ci] = mnt
 				report(mnt, time.Since(start))
@@ -309,8 +272,9 @@ type Experiment struct {
 	ID string
 	// Title describes the experiment, echoing the paper's caption.
 	Title string
-	// Run executes the experiment and formats its report.
-	Run func(Options) *Report
+	// Run executes the experiment and formats its report.  It fails when
+	// ctx is cancelled or a matrix job fails (see RunMatrixCtx).
+	Run func(context.Context, Options) (*Report, error)
 }
 
 var experimentRegistry = map[string]Experiment{}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,6 +20,16 @@ func bench(t *testing.T, name string) workload.Benchmark {
 		t.Fatalf("benchmark %q missing", name)
 	}
 	return b
+}
+
+// runMatrix is RunMatrixCtx for sweeps that must succeed.
+func runMatrix(t *testing.T, benches []workload.Benchmark, specs []ConfigSpec, o Options) [][]Measurement {
+	t.Helper()
+	out, err := RunMatrixCtx(context.Background(), benches, specs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -77,8 +88,8 @@ func TestRunMatrixShapeAndParallelDeterminism(t *testing.T) {
 		{Label: "a", Cfg: sim.Baseline()},
 		{Label: "b", Cfg: sim.Baseline().WithDepth(8)},
 	}
-	m1 := RunMatrix(benches, specs, 50_000)
-	m2 := RunMatrix(benches, specs, 50_000)
+	m1 := runMatrix(t, benches, specs, Options{Instructions: 50_000})
+	m2 := runMatrix(t, benches, specs, Options{Instructions: 50_000})
 	if len(m1) != 2 || len(m1[0]) != 2 {
 		t.Fatalf("matrix shape %dx%d, want 2x2", len(m1), len(m1[0]))
 	}
@@ -104,7 +115,7 @@ func TestFig4DepthTrend(t *testing.T) {
 		{Label: "8", Cfg: sim.Baseline().WithDepth(8)},
 		{Label: "12", Cfg: sim.Baseline().WithDepth(12)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := runMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		var bf []float64
 		for ci := range specs {
@@ -129,7 +140,7 @@ func TestFig5RetirementTrend(t *testing.T) {
 		{Label: "2", Cfg: sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 2})},
 		{Label: "10", Cfg: sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 10})},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := runMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		eager, lazy := matrix[bi][0].C, matrix[bi][1].C
 		if lazy.StallPct(stats.L2ReadAccess) > eager.StallPct(stats.L2ReadAccess) {
@@ -155,7 +166,7 @@ func TestHazardPolicyPrecision(t *testing.T) {
 			Cfg:   sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(h),
 		})
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := runMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		var lh []float64
 		for ci := range specs {
@@ -197,7 +208,7 @@ func TestFig11LatencyTrend(t *testing.T) {
 		{Label: "6", Cfg: sim.Baseline().WithL2Latency(6)},
 		{Label: "10", Cfg: sim.Baseline().WithL2Latency(10)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := runMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		t3 := matrix[bi][0].C.TotalStallPct()
 		t6 := matrix[bi][1].C.TotalStallPct()
@@ -215,7 +226,7 @@ func TestFig10L1SizeTrend(t *testing.T) {
 		{Label: "8k", Cfg: sim.Baseline()},
 		{Label: "32k", Cfg: sim.Baseline().WithL1Size(32 << 10)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := runMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		small := matrix[bi][0].C.StallPct(stats.L2ReadAccess)
 		big := matrix[bi][1].C.StallPct(stats.L2ReadAccess)
@@ -253,7 +264,7 @@ func TestTable7L2SizeTrend(t *testing.T) {
 		{Label: "128K", Cfg: sim.Baseline().WithL2(128 << 10)},
 		{Label: "1M", Cfg: sim.Baseline().WithL2(1 << 20)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := runMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		if matrix[bi][1].L2Hit < matrix[bi][0].L2Hit {
 			t.Errorf("%s: 1M L2 hit rate %.3f below 128K's %.3f",
@@ -304,7 +315,10 @@ func TestEveryExperimentRuns(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			rep := e.Run(small)
+			rep, err := e.Run(context.Background(), small)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if rep.ID != e.ID {
 				t.Errorf("report ID %q, want %q", rep.ID, e.ID)
 			}

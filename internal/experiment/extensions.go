@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -55,7 +56,7 @@ func init() {
 // seeds — the stand-in for different program inputs — and reports the
 // spread of the baseline stall measurement.  Tight spreads mean the
 // figures measure the workload's character, not one lucky stream.
-func runVariance(o Options) *Report {
+func runVariance(_ context.Context, o Options) (*Report, error) {
 	rep := &Report{
 		ID: "ext-variance", Title: "Baseline total stall %, mean ± sd over 5 seeds",
 		Columns: []string{"benchmark", "mean", "sd", "min", "max"},
@@ -84,7 +85,7 @@ func runVariance(o Options) *Report {
 			fmt.Sprintf("%.2f", lo), fmt.Sprintf("%.2f", hi),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
 func meanSD(vals []float64) (mean, sd, lo, hi float64) {
@@ -110,7 +111,7 @@ func meanSD(vals []float64) (mean, sd, lo, hi float64) {
 // reports how shrinking quanta degrade locality: every switch faces the
 // incoming program with the other's cache contents, raising both miss
 // traffic and L2 contention — the OS activity the paper's traces omit.
-func runMultiprog(o Options) *Report {
+func runMultiprog(_ context.Context, o Options) (*Report, error) {
 	pairs := [][2]string{{"li", "compress"}, {"sc", "hydro2d"}, {"espresso", "fft"}}
 	quanta := []uint64{0, 100_000, 10_000, 1_000}
 	rep := &Report{
@@ -150,10 +151,10 @@ func runMultiprog(o Options) *Report {
 			})
 		}
 	}
-	return rep
+	return rep, nil
 }
 
-func runWriteCache(o Options) *Report {
+func runWriteCache(_ context.Context, o Options) (*Report, error) {
 	specs := []ConfigSpec{
 		{Label: "buf-4 FF", Cfg: sim.Baseline()},
 		{Label: "buf-8 RWB", Cfg: sim.Baseline().WithDepth(8).WithRetire(core.RetireAt{N: 4}).WithHazard(core.ReadFromWB)},
@@ -171,7 +172,7 @@ func runWriteCache(o Options) *Report {
 	for _, s := range specs {
 		rep.Columns = append(rep.Columns, s.Label)
 	}
-	// RunMatrix does not expose write counts, so run directly here.
+	// RunMatrixCtx does not expose write counts, so run directly here.
 	for _, b := range benches {
 		row := []string{b.Name}
 		for _, s := range specs {
@@ -187,10 +188,10 @@ func runWriteCache(o Options) *Report {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	return rep
+	return rep, nil
 }
 
-func runMembar(o Options) *Report {
+func runMembar(_ context.Context, o Options) (*Report, error) {
 	periods := []uint64{0, 1000, 200, 50}
 	configs := []ConfigSpec{
 		{Label: "buf-4", Cfg: sim.Baseline()},
@@ -229,10 +230,10 @@ func runMembar(o Options) *Report {
 			rep.Rows = append(rep.Rows, row)
 		}
 	}
-	return rep
+	return rep, nil
 }
 
-func runOccupancy(o Options) *Report {
+func runOccupancy(_ context.Context, o Options) (*Report, error) {
 	specs := []ConfigSpec{
 		{Label: "4d/r2", Cfg: sim.Baseline()},
 		{Label: "12d/r2", Cfg: sim.Baseline().WithDepth(12)},
@@ -271,10 +272,10 @@ func runOccupancy(o Options) *Report {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	return rep
+	return rep, nil
 }
 
-func runAnalytic(o Options) *Report {
+func runAnalytic(_ context.Context, o Options) (*Report, error) {
 	rep := &Report{
 		ID: "ext-analytic", Title: "Markov model vs simulator (Bernoulli allocating stores, q=0.10)",
 		Columns: []string{"config", "model P(block)", "sim P(block)", "model occ", "sim occ"},
@@ -305,7 +306,7 @@ func runAnalytic(o Options) *Report {
 			fmt.Sprintf("%.2f", m.MeanOccupancy()),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
 // bernoulliStores mirrors the analytic model's arrival assumptions: each

@@ -21,7 +21,7 @@ func TestProgressCallbackContract(t *testing.T) {
 		{Label: "b", Cfg: sim.Baseline().WithDepth(8)},
 	}
 	var events []ProgressEvent
-	out := RunMatrixOpts(benches, specs, Options{
+	out := runMatrix(t, benches, specs, Options{
 		Instructions: 50_000,
 		Progress:     func(ev ProgressEvent) { events = append(events, ev) },
 	})
@@ -66,7 +66,7 @@ func TestRunMatrixOrderingUnderParallelism(t *testing.T) {
 		{Label: "d4", Cfg: sim.Baseline()},
 		{Label: "d8", Cfg: sim.Baseline().WithDepth(8)},
 	}
-	out := RunMatrixOpts(benches, specs, Options{Instructions: 30_000})
+	out := runMatrix(t, benches, specs, Options{Instructions: 30_000})
 	for bi, b := range benches {
 		for ci, s := range specs {
 			got := out[bi][ci]
@@ -84,7 +84,7 @@ func TestRunMatrixMetrics(t *testing.T) {
 	benches := []workload.Benchmark{bench(t, "espresso"), bench(t, "li")}
 	specs := []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}
 	reg := metrics.NewRegistry()
-	out := RunMatrixOpts(benches, specs, Options{Instructions: 50_000, Metrics: reg})
+	out := runMatrix(t, benches, specs, Options{Instructions: 50_000, Metrics: reg})
 	if reg.Counter("experiment_jobs_total").Value() != 2 {
 		t.Errorf("experiment_jobs_total = %d, want 2",
 			reg.Counter("experiment_jobs_total").Value())

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -86,10 +87,13 @@ func stallFigure(id, title string, specs func() []ConfigSpec, notes ...string) E
 	return Experiment{
 		ID:    id,
 		Title: title,
-		Run: func(o Options) *Report {
+		Run: func(ctx context.Context, o Options) (*Report, error) {
 			ss := specs()
 			benches := o.benchmarks()
-			matrix := RunMatrixOpts(benches, ss, o)
+			matrix, err := RunMatrixCtx(ctx, benches, ss, o)
+			if err != nil {
+				return nil, err
+			}
 			rep := &Report{ID: id, Title: title, Notes: notes}
 			rep.Columns = append(rep.Columns, "benchmark")
 			for _, s := range ss {
@@ -104,7 +108,7 @@ func stallFigure(id, title string, specs func() []ConfigSpec, notes ...string) E
 				}
 				rep.Rows = append(rep.Rows, row)
 			}
-			return rep
+			return rep, nil
 		},
 	}
 }

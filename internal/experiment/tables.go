@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sim"
@@ -30,9 +31,12 @@ func init() {
 	})
 }
 
-func runTable4(o Options) *Report {
+func runTable4(ctx context.Context, o Options) (*Report, error) {
 	benches := o.benchmarks()
-	matrix := RunMatrixOpts(benches, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	matrix, err := RunMatrixCtx(ctx, benches, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID: "table4", Title: "Dynamic instruction mix (percent of instructions)",
 		Columns: []string{"benchmark", "loads", "paper", "stores", "paper"},
@@ -47,12 +51,15 @@ func runTable4(o Options) *Report {
 			fmt.Sprintf("%.1f", b.Target.PctStores),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
-func runTable5(o Options) *Report {
+func runTable5(ctx context.Context, o Options) (*Report, error) {
 	benches := o.benchmarks()
-	matrix := RunMatrixOpts(benches, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	matrix, err := RunMatrixCtx(ctx, benches, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID: "table5", Title: "Baseline hit rates (percent)",
 		Columns: []string{"benchmark", "L1 hit", "paper", "WB hit", "paper"},
@@ -65,10 +72,10 @@ func runTable5(o Options) *Report {
 			pct(m.WBHit), fmt.Sprintf("%.2f", b.Target.WBHitRate),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
-func runTable6(o Options) *Report {
+func runTable6(ctx context.Context, o Options) (*Report, error) {
 	rep := &Report{
 		ID: "table6", Title: "Loop interchange (gmtry) and array transposition (cholsky)",
 		Columns: []string{"benchmark", "L1 hit", "paper", "WB hit", "paper", "total stall %"},
@@ -85,7 +92,10 @@ func runTable6(o Options) *Report {
 		}
 		pairs = append(pairs, b)
 	}
-	matrix := RunMatrixOpts(pairs, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	matrix, err := RunMatrixCtx(ctx, pairs, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	if err != nil {
+		return nil, err
+	}
 	for bi, b := range pairs {
 		m := matrix[bi][0]
 		rep.Rows = append(rep.Rows, []string{
@@ -95,17 +105,20 @@ func runTable6(o Options) *Report {
 			fmt.Sprintf("%.2f", m.C.TotalStallPct()),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
-func runTable7(o Options) *Report {
+func runTable7(ctx context.Context, o Options) (*Report, error) {
 	benches := o.benchmarks()
 	specs := []ConfigSpec{
 		{Label: "128K", Cfg: sim.Baseline().WithL2(128 << 10)},
 		{Label: "512K", Cfg: sim.Baseline().WithL2(512 << 10)},
 		{Label: "1M", Cfg: sim.Baseline().WithL2(1 << 20)},
 	}
-	matrix := RunMatrixOpts(benches, specs, o)
+	matrix, err := RunMatrixCtx(ctx, benches, specs, o)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		ID: "table7", Title: "Hit rates with finite L2 caches (percent)",
 		Columns: []string{"benchmark", "L1 hit", "L2@128K", "L2@512K", "L2@1M"},
@@ -123,5 +136,5 @@ func runTable7(o Options) *Report {
 			pct(matrix[bi][2].L2Hit),
 		})
 	}
-	return rep
+	return rep, nil
 }

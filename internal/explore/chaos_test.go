@@ -45,7 +45,7 @@ func TestChaosGuidedSearchParity(t *testing.T) {
 			}
 			addrs := make([]string, nWorkers)
 			for i := 0; i < nWorkers; i++ {
-				ts := httptest.NewServer(pool.Worker(i, nWorkers, dispatch.WorkerHandler(nil)))
+				ts := httptest.NewServer(pool.Worker(i, nWorkers, dispatch.WorkerHandler(nil, nil)))
 				t.Cleanup(ts.Close)
 				addrs[i] = ts.URL
 			}

@@ -8,12 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/metrics"
+	"repro/internal/resultstore"
 )
 
 // Satellite of the reproducibility story: a fixed (space, seed, budget,
 // suite, n) must render byte-identical canonical result JSON on every run
-// and on every backend.  The checkpoint journal, the acceptance criterion,
-// and wbopt's -out artifact all key on this.
+// and on every backend.  Resuming over the result store, the acceptance
+// criterion, and wbopt's -out artifact all key on this.
 
 func detSpace() *Space {
 	return &Space{
@@ -67,7 +69,7 @@ func TestLocalWorkerByteParity(t *testing.T) {
 	env.Budget = 8
 	local := canonical(t, Guided{}, env)
 
-	ts := httptest.NewServer(dispatch.WorkerHandler(nil))
+	ts := httptest.NewServer(dispatch.WorkerHandler(nil, nil))
 	defer ts.Close()
 	rem, err := dispatch.NewRemote([]string{ts.URL}, dispatch.RemoteOptions{})
 	if err != nil {
@@ -82,33 +84,40 @@ func TestLocalWorkerByteParity(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume journals a guided search, then reruns it against the
-// journal: every simulation replays, none run, and the artifact is
-// byte-identical.
+// storeBackend is one process's view of the result store in dir:
+// Cached(Local) over a freshly opened handle, so a second call sees only
+// what the first persisted.
+func storeBackend(t *testing.T, dir string, reg *metrics.Registry) dispatch.Backend {
+	t.Helper()
+	s, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return dispatch.NewCached(&dispatch.Local{}, s, reg)
+}
+
+// TestCheckpointResume stores a guided search, then reruns it over the
+// same store: every simulation is a store hit, none run, and the artifact
+// is byte-identical.
 func TestCheckpointResume(t *testing.T) {
-	path := t.TempDir() + "/opt.jsonl"
+	dir := t.TempDir()
 	env := smallEnv(42)
 	env.Budget = 8
 
-	ck1, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Backend = ck1
+	env.Backend = storeBackend(t, dir, nil)
 	first := canonical(t, Guided{}, env)
-	ck1.Close()
 
-	ck2, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if loaded, _ := ck2.Loaded(); loaded == 0 {
-		t.Fatal("journal empty on resume")
-	}
-	env.Backend = ck2
+	reg := metrics.NewRegistry()
+	env.Backend = storeBackend(t, dir, reg)
 	second := canonical(t, Guided{}, env)
 
+	if reg.Counter("dispatch_store_hits_total").Value() == 0 {
+		t.Fatal("store empty on resume")
+	}
+	if n := reg.Counter("dispatch_store_misses_total").Value(); n != 0 {
+		t.Errorf("resumed search simulated %d jobs, want 0", n)
+	}
 	if !bytes.Equal(first, second) {
 		t.Fatal("resumed search differs from the original")
 	}

@@ -97,7 +97,7 @@ type BenchFrontier struct {
 // Result is a finished search: what was searched, what it cost, every
 // full-fidelity evaluation ranked best-first, and the frontiers.  Its
 // canonical JSON rendering is byte-reproducible for a fixed (space, seed,
-// budget, suite, n) — the determinism test and the checkpoint story rest
+// budget, suite, n) — the determinism test and store resume rest
 // on that, so nothing wall-clock-dependent lives here (wall-clock
 // throughput is reported separately by cmd/wbopt -stats-out).
 type Result struct {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/machconf"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -182,8 +183,8 @@ func TestFTLSameSeedByteIdentical(t *testing.T) {
 }
 
 // TestFTLWorkerParityAndResume: ftl configurations travel the full
-// distributed stack — a real worker HTTP surface and a checkpoint journal
-// both reproduce the in-process artifact byte for byte.
+// distributed stack — a real worker HTTP surface and a resume over the
+// result store both reproduce the in-process artifact byte for byte.
 func TestFTLWorkerParityAndResume(t *testing.T) {
 	env := smallEnv(42)
 	env.Budget = 8
@@ -202,7 +203,7 @@ func TestFTLWorkerParityAndResume(t *testing.T) {
 	}
 	local := search(nil)
 
-	ts := httptest.NewServer(dispatch.WorkerHandler(nil))
+	ts := httptest.NewServer(dispatch.WorkerHandler(nil, nil))
 	defer ts.Close()
 	rem, err := dispatch.NewRemote([]string{ts.URL}, dispatch.RemoteOptions{})
 	if err != nil {
@@ -213,25 +214,17 @@ func TestFTLWorkerParityAndResume(t *testing.T) {
 		t.Fatal("ftl search differs between local and worker execution")
 	}
 
-	path := t.TempDir() + "/opt.jsonl"
-	ck1, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := search(ck1)
-	ck1.Close()
+	dir := t.TempDir()
+	first := search(storeBackend(t, dir, nil))
 	if !bytes.Equal(local, first) {
-		t.Fatal("journaled ftl search differs from in-process")
+		t.Fatal("store-backed ftl search differs from in-process")
 	}
-	ck2, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
+	reg := metrics.NewRegistry()
+	second := search(storeBackend(t, dir, reg))
+	if reg.Counter("dispatch_store_hits_total").Value() == 0 {
+		t.Fatal("store empty on resume")
 	}
-	defer ck2.Close()
-	if loaded, _ := ck2.Loaded(); loaded == 0 {
-		t.Fatal("journal empty on resume")
-	}
-	if second := search(ck2); !bytes.Equal(first, second) {
+	if !bytes.Equal(first, second) {
 		t.Fatal("resumed ftl search differs from the original")
 	}
 }

@@ -9,7 +9,7 @@
 // The subsystem layers on everything beneath it: candidates are identified
 // by their canonical machconf hash, evaluation runs through
 // experiment.RunMatrixCtx (so any dispatch backend — local, remote worker
-// pools, checkpoint journals — works unchanged), the analytic Markov model
+// pools, the result store — works unchanged), the analytic Markov model
 // (internal/analytic) is the cheap predictor that lets the guided strategy
 // spend its simulation budget only on the predicted frontier, and progress
 // and counters publish through internal/metrics.  cmd/wbopt is the CLI.

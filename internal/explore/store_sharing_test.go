@@ -39,10 +39,13 @@ func TestStoreSharesAcrossProcesses(t *testing.T) {
 	for i, c := range cands {
 		specs[i] = experiment.ConfigSpec{Label: c.Label, Cfg: c.Cfg}
 	}
-	experiment.RunMatrixOpts(benches, specs, experiment.Options{
+	_, err = experiment.RunMatrixCtx(context.Background(), benches, specs, experiment.Options{
 		Instructions: n, Backend: b1, Metrics: reg1,
 	})
 	close1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantJobs := uint64(len(cands) * len(benches))
 	if got := reg1.Counter("dispatch_store_misses_total").Value(); got != wantJobs {
 		t.Fatalf("first process dispatched %d simulations, want %d (empty store)", got, wantJobs)

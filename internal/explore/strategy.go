@@ -36,9 +36,9 @@ type Env struct {
 	Seed uint64
 	// Backend, Metrics, and Progress are threaded through
 	// experiment.RunMatrixCtx unchanged: nil Backend runs in-process,
-	// a dispatch.Remote fans out to wbserve workers, a
-	// dispatch.Checkpointed journals completed runs keyed on the
-	// machconf hash.
+	// a dispatch.Remote fans out to wbserve workers, a dispatch.Cached
+	// stores completed runs keyed on the machconf hash so a rerun
+	// resumes.
 	Backend  dispatch.Backend
 	Metrics  *metrics.Registry
 	Progress func(experiment.ProgressEvent)

@@ -14,7 +14,7 @@ import (
 // Backend wraps a dispatch.Backend with a scenario, injecting faults at
 // the Run boundary instead of the HTTP transport.  It exercises the
 // layers above dispatch — the experiment harness's fail-fast
-// cancellation, checkpoint resume after a failed sweep — where no worker
+// cancellation, store resume after a failed sweep — where no worker
 // pool exists to wrap.
 //
 // Semantics mirror the HTTP middleware: a seeded subset of jobs (by

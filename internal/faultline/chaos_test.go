@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -53,7 +53,7 @@ func startPool(t *testing.T, p *Pool, nWorkers int) []string {
 	t.Helper()
 	addrs := make([]string, nWorkers)
 	for i := 0; i < nWorkers; i++ {
-		ts := httptest.NewServer(p.Worker(i, nWorkers, dispatch.WorkerHandler(nil)))
+		ts := httptest.NewServer(p.Worker(i, nWorkers, dispatch.WorkerHandler(nil, nil)))
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
 	}
@@ -94,7 +94,12 @@ func matrixJSON(t *testing.T, backend dispatch.Backend) []byte {
 func localJSON(t *testing.T) []byte {
 	t.Helper()
 	benches, specs := chaosSuite(t)
-	blob, err := json.Marshal(experiment.RunMatrix(benches, specs, chaosN))
+	got, err := experiment.RunMatrixCtx(context.Background(), benches, specs,
+		experiment.Options{Instructions: chaosN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +191,8 @@ func TestChaosFullPartitionDowngrades(t *testing.T) {
 // TestChaosHedgingCutsStragglers runs a slow-worker scenario with hedging
 // enabled: straggling attempts must be beaten by hedges (visible in the
 // dispatch_hedge_* counters), results must stay byte-identical, and —
-// the double-count trap — the checkpoint journal must record each job
-// exactly once.
+// the double-count trap — the result store in front of the pool must see
+// each job exactly once.
 func TestChaosHedgingCutsStragglers(t *testing.T) {
 	sc := Scenario{Name: "stragglers", Kind: Slow, Seed: 21, Rate: 0.9, MaxFaults: 1,
 		Latency: 300 * time.Millisecond}
@@ -204,14 +209,14 @@ func TestChaosHedgingCutsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	ckpt, err := dispatch.NewCheckpointed(rem, filepath.Join(t.TempDir(), "journal.jsonl"), reg)
+	store, err := resultstore.Open(t.TempDir(), resultstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ckpt.Close()
+	defer store.Close()
 
 	start := time.Now()
-	got := matrixJSON(t, ckpt)
+	got := matrixJSON(t, dispatch.NewCached(rem, store, reg))
 	elapsed := time.Since(start)
 
 	if want := localJSON(t); !bytes.Equal(want, got) {
@@ -231,12 +236,12 @@ func TestChaosHedgingCutsStragglers(t *testing.T) {
 	if serial := time.Duration(chaosJobs) * sc.Latency; elapsed > serial {
 		t.Errorf("hedged sweep took %v, slower than the %v serial injected delay", elapsed, serial)
 	}
-	// No double counting: one dispatch and one journal line per job.
+	// No double counting: one dispatch and one store miss per job.
 	if n := reg.Counter("dispatch_jobs_dispatched_total").Value(); n != chaosJobs {
 		t.Errorf("dispatched %d jobs, want %d (hedges must not count as jobs)", n, chaosJobs)
 	}
-	if n := reg.Counter("dispatch_checkpoint_appends_total").Value(); n != chaosJobs {
-		t.Errorf("journal has %d appends, want %d", n, chaosJobs)
+	if n := reg.Counter("dispatch_store_misses_total").Value(); n != chaosJobs {
+		t.Errorf("store saw %d misses, want %d", n, chaosJobs)
 	}
 }
 
@@ -248,7 +253,7 @@ func TestChaosVerificationCatchesLyingWorker(t *testing.T) {
 	// A worker whose answers are wrong but whose transport raises no
 	// alarm: the flipped response travels without any checksum header (an
 	// old or foreign worker build), so nothing fails in flight.
-	lying := dispatch.WorkerHandler(nil)
+	lying := dispatch.WorkerHandler(nil, nil)
 	flipAll := NewPool(Scenario{Kind: BitFlip, Seed: 7, Rate: 1, MaxFaults: 1 << 20}, nil)
 	rewrap := httptest.NewServer(stripChecksum(flipAll.Worker(0, 1, lying)))
 	t.Cleanup(rewrap.Close)

@@ -89,7 +89,7 @@ func TestPoolSharesArrivalOrdinals(t *testing.T) {
 
 // TestBackendInjectorFaultsThenRecovers: a targeted job fails exactly its
 // scheduled fault count at the Backend boundary, then succeeds — the
-// property checkpoint-resume chaos tests lean on.
+// property store-resume chaos tests lean on.
 func TestBackendInjectorFaultsThenRecovers(t *testing.T) {
 	bench, ok := workload.ByName("li")
 	if !ok {

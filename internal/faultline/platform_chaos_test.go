@@ -110,6 +110,8 @@ func platformPump(t *testing.T, backend dispatch.Backend, store resultstore.Inte
 						errc <- err
 						return
 					}
+				} else {
+					q.Release(job.Key)
 				}
 				done := completed.Add(1)
 				if killAfter > 0 && done >= int64(killAfter) {

@@ -1,7 +1,7 @@
 // Package jobqueue is the durable FIFO in front of the platform's dispatch
 // pool: sweeps are submitted as runs, their jobs queue in arrival order,
-// and a JSONL journal — the same append-only, torn-tail-tolerant format as
-// the dispatch checkpoint — makes the whole thing survive a kill -9.
+// and an append-only, torn-tail-tolerant JSONL journal makes the whole
+// thing survive a kill -9.
 //
 // The write-buffer analogy is deliberate.  The paper's buffer decouples a
 // fast producer (the CPU issuing stores) from a slow consumer (the L2
@@ -22,8 +22,7 @@
 // a done marker are re-enqueued in their original order (at-least-once
 // delivery — harmless, because jobs are deterministic and the store
 // answers re-executions before they simulate).  A job that was in flight
-// when the process died simply reruns.  A torn final line is skipped, like
-// the checkpoint journal.
+// when the process died simply reruns.  A torn final line is skipped.
 //
 // Growth is bounded: Resume compacts the journal after replay, rewriting
 // only the live records (runs that still have undone jobs, and the done
@@ -75,9 +74,9 @@ type Run struct {
 
 // record is one journal line.
 type record struct {
-	Op   string `json:"op"`            // "run" or "done"
-	Run  *Run   `json:"run,omitempty"` // op == "run"
-	Key  string `json:"key,omitempty"` // op == "done"
+	Op  string `json:"op"`            // "run" or "done"
+	Run *Run   `json:"run,omitempty"` // op == "run"
+	Key string `json:"key,omitempty"` // op == "done"
 }
 
 // Queue is the durable FIFO.  All methods are safe for concurrent use.
@@ -90,7 +89,7 @@ type Queue struct {
 	order   []string        // run ids in submission order
 	done    map[string]bool // keys with a durable result
 	pending []Job           // FIFO of undone, deduped jobs
-	inQueue map[string]bool // keys currently in pending (dedup index)
+	active  map[string]bool // keys pending or in flight (dedup index)
 	wake    chan struct{}   // closed-and-replaced to wake blocked Dequeue
 	closed  bool
 
@@ -116,10 +115,10 @@ func Open(path string, reg *metrics.Registry, logf func(format string, args ...a
 		reg = metrics.NewRegistry()
 	}
 	q := &Queue{
-		runs:     map[string]*Run{},
-		done:     map[string]bool{},
-		inQueue:  map[string]bool{},
-		wake:     make(chan struct{}),
+		runs:      map[string]*Run{},
+		done:      map[string]bool{},
+		active:    map[string]bool{},
+		wake:      make(chan struct{}),
 		enqueued:  reg.Counter("jobqueue_enqueued_total"),
 		deduped:   reg.Counter("jobqueue_deduped_total"),
 		doneC:     reg.Counter("jobqueue_done_total"),
@@ -194,7 +193,7 @@ func (q *Queue) Resume(isDone func(key string) bool) int {
 	n := 0
 	for _, id := range q.order {
 		for _, j := range q.runs[id].Jobs {
-			if q.done[j.Key] || q.inQueue[j.Key] {
+			if q.done[j.Key] || q.active[j.Key] {
 				continue
 			}
 			if isDone != nil && isDone(j.Key) {
@@ -202,7 +201,7 @@ func (q *Queue) Resume(isDone func(key string) bool) int {
 				continue
 			}
 			q.pending = append(q.pending, j)
-			q.inQueue[j.Key] = true
+			q.active[j.Key] = true
 			n++
 		}
 	}
@@ -327,8 +326,8 @@ func (q *Queue) Loaded() (runs, skipped int) {
 }
 
 // Submit journals a run and enqueues its not-yet-done jobs, deduplicating
-// by result-store key: a key already pending (from any run or tenant) or
-// already done is not enqueued again.  isDone, when non-nil, is the result
+// by result-store key: a key already pending or in flight (from any run or
+// tenant) or already done is not enqueued again.  isDone, when non-nil, is the result
 // store's membership test — keys it accepts count as done without
 // consulting the journal.  Returns how many jobs were newly enqueued.
 // Resubmitting a run id that is already journaled with the same jobs is
@@ -347,7 +346,7 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 		return 0, err
 	}
 	for _, j := range run.Jobs {
-		if q.done[j.Key] || q.inQueue[j.Key] {
+		if q.done[j.Key] || q.active[j.Key] {
 			q.deduped.Inc()
 			continue
 		}
@@ -357,7 +356,7 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 			continue
 		}
 		q.pending = append(q.pending, j)
-		q.inQueue[j.Key] = true
+		q.active[j.Key] = true
 		q.enqueued.Inc()
 		queued++
 	}
@@ -370,14 +369,15 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 
 // Dequeue removes and returns the oldest pending job, blocking until one
 // is available, the context is cancelled, or the queue is closed (which
-// returns an error, letting dispatcher goroutines exit).
+// returns an error, letting dispatcher goroutines exit).  The job's key
+// stays in flight — Submit deduplicates against it — until Done or
+// Release.
 func (q *Queue) Dequeue(ctx context.Context) (Job, error) {
 	for {
 		q.mu.Lock()
 		if len(q.pending) > 0 {
 			j := q.pending[0]
 			q.pending = q.pending[1:]
-			delete(q.inQueue, j.Key)
 			q.depth.Set(float64(len(q.pending)))
 			q.mu.Unlock()
 			return j, nil
@@ -396,17 +396,28 @@ func (q *Queue) Dequeue(ctx context.Context) (Job, error) {
 	}
 }
 
-// Done records that key's result is durably in the store.  Call it only
-// after the store write succeeded: replay trusts done markers.
+// Done records that key's result is durably in the store and ends its
+// flight.  Call it only after the store write succeeded: replay trusts
+// done markers.
 func (q *Queue) Done(key string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	delete(q.active, key)
 	if q.done[key] {
 		return nil
 	}
 	q.done[key] = true
 	q.doneC.Inc()
 	return q.append(record{Op: "done", Key: key})
+}
+
+// Release ends a dequeued job's flight without a done marker — the job
+// failed, or its result was not durably stored — so a later Submit
+// enqueues it again.
+func (q *Queue) Release(key string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	delete(q.active, key)
 }
 
 // IsDone reports whether key has a durable result (journal view).

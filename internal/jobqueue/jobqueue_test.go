@@ -58,6 +58,42 @@ func TestFIFOOrderAndDedup(t *testing.T) {
 	}
 }
 
+// A job stays deduplicated while it is in flight: a resubmission between
+// Dequeue and Done must not queue it a second time.  Release (the failure
+// path) ends the flight without a done marker, so the next resubmission
+// queues it again; Done ends it for good.
+func TestInFlightDedupUntilRelease(t *testing.T) {
+	q, err := Open("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	run := Run{ID: "r", Jobs: []Job{job("li", "k", "")}}
+	submit := func(want int) {
+		t.Helper()
+		if queued, err := q.Submit(run, nil); err != nil || queued != want {
+			t.Fatalf("Submit = (%d, %v), want (%d, nil)", queued, err, want)
+		}
+	}
+	submit(1)
+	if _, err := q.Dequeue(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	submit(0) // in flight
+	q.Release("k")
+	submit(1) // released: runs again
+	if _, err := q.Dequeue(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Done("k"); err != nil {
+		t.Fatal(err)
+	}
+	submit(0) // done
+	if q.Depth() != 0 {
+		t.Errorf("depth %d, want 0", q.Depth())
+	}
+}
+
 func TestDequeueBlocksUntilSubmit(t *testing.T) {
 	q, _ := Open("", nil, nil)
 	defer q.Close()

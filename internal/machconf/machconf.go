@@ -9,7 +9,7 @@
 // silently from local ones.  Every layer now delegates here:
 //
 //   - internal/dispatch ships jobs as bench + label + n + a machconf blob,
-//     and keys the checkpoint journal on the canonical hash;
+//     and keys the result store on the canonical hash;
 //   - cmd/wbserve accepts the canonical form directly in POST /run and
 //     keys its result cache on the canonical hash;
 //   - cmd/wbsim and cmd/wbexp read and write the canonical form through
@@ -22,7 +22,7 @@
 // registered kind string plus that kind's parameter payload (see
 // RegisterRetirement and RegisterHazard in registry.go).  A custom policy
 // that registers a codec — examples/custompolicy does — becomes
-// wire-encodable everywhere at once: checkpoint journals, remote workers,
+// wire-encodable everywhere at once: the result store, remote workers,
 // the wbserve cache.
 //
 // Canonical form: Encode marshals the Wire struct, whose field order is
@@ -115,7 +115,7 @@ type WireCache struct {
 // WireBuffer is the versioned write-buffer block.  Like Retire and Hazard,
 // the organization travels as a registered kind plus that kind's parameter
 // payload (see RegisterOrg), so custom organizations become wire-encodable
-// — checkpoints, remote workers, result-store keys — without schema edits.
+// — remote workers, result-store keys — without schema edits.
 type WireBuffer struct {
 	V   int    `json:"v"`
 	Org Policy `json:"org"`
@@ -285,7 +285,7 @@ func Decode(data []byte) (sim.Config, error) {
 
 // Hash returns the configuration's canonical content address: the hex
 // SHA-256 of its Encode output.  Everything that needs one identity for
-// one machine — the checkpoint journal, the wbserve result cache, sweep
+// one machine — the result store, the wbserve result cache, sweep
 // labels — uses this.
 func Hash(cfg sim.Config) (string, error) {
 	b, err := Encode(cfg)

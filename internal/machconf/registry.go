@@ -23,7 +23,7 @@ type Policy struct {
 // Encode claims a policy value (returning its parameter payload and true)
 // or declines it; Decode rebuilds the policy from the payload.  Both
 // directions must be deterministic and mutually inverse — the canonical
-// hash and the checkpoint journal depend on it.
+// hash and the result store depend on it.
 type RetirementCodec struct {
 	// Kind is the family's wire identifier ("retire-at", "fixed-rate", …).
 	Kind string
@@ -87,7 +87,7 @@ var (
 // Registration is typically done from an init function (the built-in
 // families) or at program start-up (examples/custompolicy); once a kind is
 // registered the policy travels through every consumer of this package —
-// checkpoints, remote workers, wbserve — with no further changes.  It
+// the result store, remote workers, wbserve — with no further changes.  It
 // panics on a duplicate or incomplete codec, since that is a programming
 // error, not an input error.
 func RegisterRetirement(c RetirementCodec) {
@@ -127,7 +127,7 @@ func HazardByName(name string) (core.HazardPolicy, bool) {
 
 // RegisterOrg adds a write-buffer-organization family to the wire schema.
 // Once registered, the organization travels everywhere a configuration
-// does — checkpoint journals, remote workers, the wbserve result cache —
+// does — the result store, remote workers, the wbserve result cache —
 // with no further changes.  It panics on a duplicate or incomplete codec.
 func RegisterOrg(c OrgCodec) {
 	if c.Kind == "" || c.Encode == nil || c.Decode == nil {
@@ -193,7 +193,7 @@ func DecodeOrg(w Policy) (core.OrgSpec, error) {
 
 // RegisterBackend adds a drain-side-backend family to the wire schema.
 // Once registered, the backend travels everywhere a configuration does —
-// checkpoint journals, remote workers, the wbserve result cache — with no
+// the result store, remote workers, the wbserve result cache — with no
 // further changes.  It panics on a duplicate or incomplete codec.
 func RegisterBackend(c BackendCodec) {
 	if c.Kind == "" || c.Encode == nil || c.Decode == nil {

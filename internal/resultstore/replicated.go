@@ -149,15 +149,6 @@ func OpenSpec(spec string, opts Options) (Interface, error) {
 	return OpenReplicated(dirs, opts)
 }
 
-// Dirs reports the replica roots in order.
-func (r *Replicated) Dirs() []string {
-	out := make([]string, len(r.replicas))
-	for i, s := range r.replicas {
-		out[i] = s.Dir()
-	}
-	return out
-}
-
 // Close stops the background scrubber and waits for an in-flight pass to
 // finish.  Idempotent.
 func (r *Replicated) Close() error {

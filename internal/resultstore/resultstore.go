@@ -1,7 +1,9 @@
 // Package resultstore is the platform's content-addressed result store:
 // a durable map from the canonical simulation key — `bench|n|machconf-hash`,
-// the same string the wbserve LRU and the checkpoint journal key on — to the
-// finished measurement's JSON payload.
+// the same string the wbserve LRU keys on — to the finished measurement's
+// JSON payload.  It is also what makes a killed CLI sweep resumable:
+// dispatch.Cached puts each finished job before returning it, so a rerun
+// over the same directory simulates only the missing jobs.
 //
 // Every simulation in this repository is a pure function of that key (the
 // workload suite is deterministic and the machconf hash covers the whole

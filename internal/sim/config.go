@@ -62,8 +62,8 @@ type Config struct {
 	// nil is the paper's single coalescing FIFO (never encoded, so
 	// pre-existing configurations keep their content hashes), and
 	// core.FTLOrg is the multi-buffer sector-masked family.  Custom
-	// organizations register a machconf codec to travel through
-	// checkpoints, remote workers, and the result store.  A write cache
+	// organizations register a machconf codec to travel through remote
+	// workers and the result store.  A write cache
 	// (WriteCacheDepth > 0) replaces the write buffer wholesale, so Org is
 	// ignored there, like Retire and Hazard.
 	Org core.OrgSpec
@@ -73,8 +73,8 @@ type Config struct {
 	// configurations keep their content hashes), backend.BankedSpec adds
 	// DRAM-style bank/row contention, and backend.FencedSpec wraps either
 	// with differentiated store-release vs full-fence costs.  Custom
-	// backends register a machconf codec to travel through checkpoints,
-	// remote workers, and the result store.  Unlike Org, the backend also
+	// backends register a machconf codec to travel through remote
+	// workers and the result store.  Unlike Org, the backend also
 	// applies under a write cache — it times the victim buffer's drains.
 	Backend backend.Spec
 	// Retire decides when the organization autonomously retires its victim

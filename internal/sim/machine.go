@@ -205,9 +205,6 @@ func MustNew(cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Clock returns the current cycle.
 func (m *Machine) Clock() uint64 { return m.clock }
 

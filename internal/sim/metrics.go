@@ -8,14 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// RetirementLatency summarises how long entries sat in the write stage
-// before their autonomous writeback completed: the number of retirements
-// observed and the mean allocation→completion latency in cycles.  Flushes
-// forced by load hazards or barriers are not retirements and are excluded.
-func (m *Machine) RetirementLatency() (count uint64, meanCycles float64) {
-	return m.retLat.Count(), m.retLat.Mean()
-}
-
 // PublishMetrics folds the machine's accumulated statistics into a shared
 // metrics registry: stall-cycle counters split by category, event counts,
 // the store-time occupancy distribution, and the retirement-latency

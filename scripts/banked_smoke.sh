@@ -2,18 +2,19 @@
 # banked_smoke.sh — acceptance smoke for the backend-axis sweep path.
 #
 # The banked/fenced backend rides through every layer a result crosses:
-# machconf labels, the wbserve worker wire, the wbopt checkpoint journal,
-# and the canonical frontier JSON.  This script sweeps the tiny
-# banked+fence space (spaces/banked-smoke.json) three ways and asserts
-# they are byte-identical:
+# machconf labels, the wbserve worker wire, the wbopt result store, and
+# the canonical frontier JSON.  This script sweeps the tiny banked+fence
+# space (spaces/banked-smoke.json) three ways and asserts they are
+# byte-identical:
 #
 #   1. a plain local grid run (the reference artifact),
-#   2. a worker-pool run with a checkpoint journal, then — simulating a
-#      process killed mid-sweep — a resume over that journal truncated to
-#      its first third, which must re-run exactly the missing jobs; this
-#      is the shape of the committed results/banked_frontier.json sweep,
-#   3. a re-run over the complete journal, which must answer every job
-#      from the journal (zero new lines) and still render the same bytes.
+#   2. a worker-pool run over a result store, then — simulating a process
+#      killed mid-sweep — a resume over a copy of that store cut to its
+#      first third of entries, which must re-run exactly the missing
+#      jobs; this is the shape of the committed
+#      results/banked_frontier.json sweep,
+#   3. a re-run over the complete store, which must answer every job from
+#      the store (zero new entries) and still render the same bytes.
 #
 # Run it from the repository root:  make smoke-banked
 set -euo pipefail
@@ -30,6 +31,10 @@ trap cleanup EXIT
 
 fail() { echo "smoke-banked: FAIL: $*" >&2; exit 1; }
 
+# entries lists a store's result files in sorted order, skipping
+# quarantined copies.
+entries() { find "$1" -path '*/quarantine' -prune -o -name '*.json' -print | sort; }
+
 go build -o "$TMP/wbserve" ./cmd/wbserve
 go build -o "$TMP/wbopt" ./cmd/wbopt
 
@@ -43,8 +48,9 @@ grep -q 'backend=banked' "$TMP/local.json" \
 grep -q 'fencecost=20' "$TMP/local.json" \
   || fail "no fenced machine in the frontier artifact"
 
-# --- Pass 2: the same sweep through a worker, then a resume over a
-# truncated journal (what a process killed mid-sweep leaves behind).
+# --- Pass 2: the same sweep through a worker, then a resume over a store
+# holding only part of the results (what a process killed mid-sweep
+# leaves behind).
 "$TMP/wbserve" -worker -addr "127.0.0.1:$PORT" >>"$TMP/worker.log" 2>&1 &
 WORKER_PID=$!
 for _ in $(seq 1 100); do
@@ -55,26 +61,33 @@ curl -sf "http://127.0.0.1:$PORT/healthz" >/dev/null 2>&1 \
   || fail "worker on port $PORT never became healthy"
 
 "$TMP/wbopt" "${ARGS[@]}" -workers "127.0.0.1:$PORT" \
-  -checkpoint "$TMP/ckpt-full.jsonl" -out "$TMP/worker.json" >/dev/null
+  -store "$TMP/store-full" -out "$TMP/worker.json" >/dev/null
 cmp "$TMP/local.json" "$TMP/worker.json" \
   || fail "worker-pool artifact differs from the local run"
-FULL=$(wc -l < "$TMP/ckpt-full.jsonl")
-[ "$FULL" -gt 3 ] || fail "worker run journaled only $FULL jobs"
+FULL=$(entries "$TMP/store-full" | wc -l)
+[ "$FULL" -gt 3 ] || fail "worker run stored only $FULL jobs"
 
 PARTIAL=$((FULL / 3))
-head -n "$PARTIAL" "$TMP/ckpt-full.jsonl" > "$TMP/ckpt.jsonl"
+cp -r "$TMP/store-full" "$TMP/store"
+entries "$TMP/store" | tail -n +"$((PARTIAL + 1))" | xargs rm -f
+[ "$(entries "$TMP/store" | wc -l)" -eq "$PARTIAL" ] \
+  || fail "cutting the store copy to $PARTIAL entries failed"
 "$TMP/wbopt" "${ARGS[@]}" -workers "127.0.0.1:$PORT" \
-  -checkpoint "$TMP/ckpt.jsonl" -out "$TMP/resumed.json" >/dev/null
-RESUMED=$(wc -l < "$TMP/ckpt.jsonl")
-[ "$RESUMED" -eq "$FULL" ] || fail "resume journaled $RESUMED jobs, want $FULL"
+  -store "$TMP/store" -out "$TMP/resumed.json" >/dev/null
+RESUMED=$(entries "$TMP/store" | wc -l)
+[ "$RESUMED" -eq "$FULL" ] || fail "resume stored $RESUMED jobs, want $FULL"
 cmp "$TMP/local.json" "$TMP/resumed.json" \
-  || fail "worker + checkpoint-resume artifact differs from the local run"
+  || fail "worker + store-resume artifact differs from the local run"
 
-# --- Pass 3: a complete journal must satisfy the whole sweep by itself.
-"$TMP/wbopt" "${ARGS[@]}" -checkpoint "$TMP/ckpt.jsonl" -out "$TMP/replayed.json" >/dev/null
-REPLAYED=$(wc -l < "$TMP/ckpt.jsonl")
-[ "$REPLAYED" -eq "$FULL" ] || fail "replay over a complete journal re-ran jobs ($FULL -> $REPLAYED)"
+# --- Pass 3: a complete store must satisfy the whole sweep by itself:
+# no new entry, and no entry rewritten (a re-simulation would put again).
+touch "$TMP/before-replay"
+"$TMP/wbopt" "${ARGS[@]}" -store "$TMP/store" -out "$TMP/replayed.json" >/dev/null
+REPLAYED=$(entries "$TMP/store" | wc -l)
+[ "$REPLAYED" -eq "$FULL" ] || fail "rerun over a complete store changed its entry count ($FULL -> $REPLAYED)"
+REWRITTEN=$(find "$TMP/store" -path '*/quarantine' -prune -o -name '*.json' -newer "$TMP/before-replay" -print | wc -l)
+[ "$REWRITTEN" -eq 0 ] || fail "rerun over a complete store re-simulated $REWRITTEN jobs"
 cmp "$TMP/local.json" "$TMP/replayed.json" \
-  || fail "journal-replay artifact differs from the local run"
+  || fail "store-replay artifact differs from the local run"
 
-echo "smoke-banked: PASS — local, worker+resume ($PARTIAL/$FULL journaled), and replay are byte-identical"
+echo "smoke-banked: PASS — local, worker+resume ($PARTIAL/$FULL stored), and replay are byte-identical"
