@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-sim bench-sim-smoke bench-explore smoke-explore smoke-ftl smoke-banked chaos serve-smoke scrub-smoke
+.PHONY: all build test race vet bench bench-sim bench-sim-smoke bench-oracle bench-explore smoke-explore smoke-ftl smoke-banked chaos serve-smoke scrub-smoke
 
 all: vet build test
 
@@ -42,6 +42,15 @@ bench-sim:
 bench-sim-smoke:
 	$(GO) run ./cmd/wbbench -n 500000 -mode fused -quiet -repeat 5 \
 		-baseline BENCH_sim.json -max-regress 0.20 > /dev/null
+
+# bench-oracle runs the platform benchmark's correctness oracle: its own
+# tests, then a one-second suite-sweep whose result line must report every
+# check passed (committed-digest, passes-agree, warm-equals-cold).  A
+# change that moves one counter of one job fails here.
+bench-oracle:
+	cd platbench && $(GO) test ./...
+	bash platbench/run.sh --workload suite-sweep --seed 1 --seconds 1 --trace 0 \
+		| tail -n 1 | tee /dev/stderr | grep -q '"correct":true'
 
 # bench-explore runs a small guided wbopt search and records its throughput
 # (jobs/sec) and pruning counters in BENCH_explore.json.  The committed file

@@ -1,7 +1,9 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // goroutineBaseline polls until the goroutine count settles and returns
@@ -108,5 +113,53 @@ func TestCancelDuringHedgedAttempt(t *testing.T) {
 	if !goroutinesSettle(baseline + 2) {
 		t.Errorf("goroutines did not settle after cancelled hedged dispatch: baseline %d, now %d",
 			baseline, runtime.NumGoroutine())
+	}
+}
+
+// A worker runs its job under the request's context: when the dispatcher
+// abandons the attempt (here, the client cancels mid-simulation), the
+// handler returns within a batch, writes nothing and counts no job error.
+func TestWorkerStopsAbandonedJob(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ts := httptest.NewServer(WorkerHandler(reg, nil))
+	w, err := encodeJob(Job{Bench: "li", Label: "base", Cfg: sim.Baseline(), N: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/job", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a 2^40-instruction job answered %s within 50ms", resp.Status)
+	}
+
+	// Close waits for the in-flight handler: it returns only once the
+	// abandoned simulation has stopped.
+	closed := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still simulating 5s after the dispatcher abandoned the job")
+	}
+	if got := reg.Counter("dispatch_worker_jobs_total").Value(); got != 1 {
+		t.Errorf("dispatch_worker_jobs_total = %d, want 1", got)
+	}
+	if got := reg.Counter("dispatch_worker_job_errors_total").Value(); got != 0 {
+		t.Errorf("abandoned job counted %d job errors, want 0", got)
+	}
+	if got := reg.Histogram("dispatch_worker_job_microseconds").Count(); got != 0 {
+		t.Errorf("abandoned job recorded %d latencies, want 0", got)
 	}
 }

@@ -37,7 +37,7 @@ type BuildOptions struct {
 // opts.Workers is non-empty (in-process execution otherwise), behind the
 // shared content-addressed result store when opts.Store is set —
 // Cached(Remote) or Cached(Local).  With neither, the backend is nil and
-// the experiment harness runs exactly its default path.
+// the experiment harness runs its default in-process lockstep groups.
 //
 // Unlike the bare Remote library type, the CLI stack turns the resilience
 // defenses on: hedged requests against the pool's p95 latency, graceful

@@ -12,8 +12,10 @@
 //
 // Three Backend implementations cover the deployment spectrum:
 //
-//   - Local runs the job in-process (the default the experiment harness
-//     uses when no backend is configured).
+//   - Local runs the job in-process, as a group of one.  The experiment
+//     harness's default (no backend) runs in-process too, but as groups
+//     of up to eight machines stepping one benchmark's reference batches
+//     in lockstep (ExecuteGroup).
 //   - Remote dispatches jobs over HTTP to a pool of `wbserve -worker`
 //     processes (the POST /job endpoint served by WorkerHandler), with
 //     per-job timeouts, bounded retries under exponential backoff with
@@ -38,7 +40,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -94,6 +95,12 @@ var ErrUnknownBenchmark = errors.New("dispatch: unknown benchmark")
 // ErrUnknownBenchmark-wrapped for an unresolvable benchmark name and a
 // sim validation error for an inconsistent configuration.
 func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
+	return execute(context.TODO(), job, reg)
+}
+
+// execute is Execute under a context: a cancelled job stops within one
+// reference batch and returns ctx's error.
+func execute(ctx context.Context, job Job, reg *metrics.Registry) (Measurement, error) {
 	b, ok := workload.ByName(job.Bench)
 	if !ok {
 		for _, t := range workload.Transformed() {
@@ -106,51 +113,24 @@ func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 	if !ok {
 		return Measurement{}, fmt.Errorf("%w: %q", ErrUnknownBenchmark, job.Bench)
 	}
-	return ExecuteBench(b, job.Label, job.Cfg, job.N, reg)
+	return executeOne(ctx, b, ConfigSpec{Label: job.Label, Cfg: job.Cfg}, job.N, reg)
 }
 
-// ExecuteBench is Execute for a benchmark value already in hand.  The
-// experiment harness uses it directly so benchmark variants that are not
-// name-resolvable (reseeded generators) still run locally.
+// ExecuteBench is Execute for a benchmark value already in hand.
+// Benchmark variants that are not name-resolvable (reseeded generators)
+// run through it.
 func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) (Measurement, error) {
-	m, err := sim.New(cfg)
+	return executeOne(context.TODO(), b, ConfigSpec{Label: label, Cfg: cfg}, n, reg)
+}
+
+// executeOne runs one machine as a group of one, so every backend runs
+// the lockstep loop the default sweep path runs.
+func executeOne(ctx context.Context, b workload.Benchmark, s ConfigSpec, n uint64, reg *metrics.Registry) (Measurement, error) {
+	ms, _, err := ExecuteGroup(ctx, b, []ConfigSpec{s}, n, reg)
 	if err != nil {
 		return Measurement{}, err
 	}
-	WarmRun(m, b.Stream(n), n)
-	c := m.Counters()
-	l2 := 1.0
-	if cfg.L2 != nil {
-		l2 = m.L2Stats().ReadHitRate()
-	}
-	if reg != nil {
-		m.PublishMetrics(reg)
-	}
-	return Measurement{
-		Bench: b.Name,
-		Label: label,
-		C:     c,
-		WBHit: m.WBStoreHitRate(),
-		L1Hit: c.L1LoadHitRate(),
-		L2Hit: l2,
-	}, nil
-}
-
-// WarmRun executes the first quarter of the stream unmeasured, then runs
-// the remainder with statistics on — the repository's standard warm-up
-// split (experiment.Run documents why).  The stream is consumed through its
-// batched generator view (trace.GeneratorOf), so every backend — local,
-// worker, and the experiment harness — gets the simulator's fused hot path;
-// docs/PERFORMANCE.md quantifies the difference.
-func WarmRun(m *sim.Machine, s trace.Stream, n uint64) {
-	WarmRunGenerator(m, trace.GeneratorOf(s), n)
-}
-
-// WarmRunGenerator is WarmRun for a generator already in hand.
-func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
-	m.RunGeneratorN(g, n/4)
-	m.ResetStats()
-	m.RunGenerator(g)
+	return ms[0], nil
 }
 
 // Local is the in-process backend: Run executes the job on the calling
@@ -163,8 +143,5 @@ type Local struct {
 
 // Run implements Backend.
 func (l *Local) Run(ctx context.Context, job Job) (Measurement, error) {
-	if err := ctx.Err(); err != nil {
-		return Measurement{}, err
-	}
-	return Execute(job, l.Metrics)
+	return execute(ctx, job, l.Metrics)
 }

@@ -37,6 +37,11 @@ import (
 // ready) and POST /job refuses work with 503 while the worker is starting
 // or draining.  A nil rdy means always ready; wbserve passes the Readiness
 // its graceful shutdown flips.
+//
+// A job runs under its request's context: when the dispatcher abandons the
+// attempt — the losing copy of a hedged job, a timeout — the simulation
+// stops within one reference batch, writes no payload and counts no job
+// error.
 func WorkerHandler(reg *metrics.Registry, rdy *Readiness) http.Handler {
 	var (
 		jobs    *metrics.Counter
@@ -78,8 +83,14 @@ func WorkerHandler(reg *metrics.Registry, rdy *Readiness) http.Handler {
 			return
 		}
 		start := time.Now()
-		m, err := Execute(job, reg)
+		m, err := execute(r.Context(), job, reg)
 		if err != nil {
+			if r.Context().Err() != nil {
+				// The dispatcher gave up on this attempt (a lost hedge, a
+				// timeout, a cancelled sweep): nobody reads the answer, and
+				// the job itself did not fail.
+				return
+			}
 			status := http.StatusUnprocessableEntity
 			if errors.Is(err, ErrUnknownBenchmark) {
 				status = http.StatusBadRequest

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // gatedBackend completes a fixed number of jobs, then parks every further
@@ -104,4 +107,80 @@ func TestMatrixCancelLeavesResumableCheckpoint(t *testing.T) {
 	if local := runMatrix(t, benches, specs, Options{Instructions: n}); !reflect.DeepEqual(local, resumed) {
 		t.Error("resumed matrix differs from a pure local run")
 	}
+}
+
+// The default in-process path stays prompt to cancel although its unit
+// of work holds up to eight jobs: the lockstep loop checks the context
+// once per reference batch.
+func TestMatrixCancelLockstepUnit(t *testing.T) {
+	specs := make([]ConfigSpec, unitSpecs)
+	for i := range specs {
+		specs[i] = ConfigSpec{Label: fmt.Sprintf("d%d", i+2), Cfg: sim.Baseline().WithDepth(i + 2)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := RunMatrixCtx(ctx, []workload.Benchmark{bench(t, "li")}, specs, Options{Instructions: 1 << 40})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("cancelled sweep took %v to stop", d)
+	}
+}
+
+// A unit holding an invalid machine fails the sweep with an error naming
+// the benchmark and that machine's label.
+func TestMatrixLockstepUnitInvalidSpec(t *testing.T) {
+	specs := []ConfigSpec{
+		{Label: "base", Cfg: sim.Baseline()},
+		{Label: "bad-depth", Cfg: sim.Baseline().WithDepth(-1)},
+	}
+	_, err := RunMatrixCtx(context.Background(), []workload.Benchmark{bench(t, "li")}, specs, Options{Instructions: 10_000})
+	if err == nil || !strings.Contains(err.Error(), "li/bad-depth") {
+		t.Errorf("err = %v, want one naming li/bad-depth", err)
+	}
+}
+
+func TestSplitUnits(t *testing.T) {
+	for _, tc := range []struct {
+		benches, specs, per, workers int
+		want                         []int // spec counts per unit, benchmark-major
+	}{
+		{17, 8, unitSpecs, 2, repeat(8, 17)},     // the suite sweep
+		{1, 8, unitSpecs, 2, []int{4, 4}},        // too few units: split
+		{1, 11, unitSpecs, 2, []int{5, 6}},       // past the cap, split evenly
+		{2, 12, unitSpecs, 2, []int{6, 6, 6, 6}}, // cap forces two per benchmark
+		{17, 1, unitSpecs, 2, repeat(1, 17)},     // one-spec tables keep their shape
+		{1, 3, unitSpecs, 8, []int{1, 1, 1}},     // never more parts than specs
+		{2, 3, 1, 4, []int{1, 1, 1, 1, 1, 1}},    // a backend runs one job per unit
+		{3, 0, unitSpecs, 2, nil},                // nothing to run
+	} {
+		units := splitUnits(tc.benches, tc.specs, tc.per, tc.workers)
+		var got []int
+		next := map[int]int{}
+		for _, u := range units {
+			if u.lo != next[u.bench] {
+				t.Errorf("%+v: unit %+v does not continue at spec %d", tc, u, next[u.bench])
+			}
+			next[u.bench] = u.hi
+			got = append(got, u.hi-u.lo)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("splitUnits(%d, %d, %d, %d) sizes = %v, want %v", tc.benches, tc.specs, tc.per, tc.workers, got, tc.want)
+		}
+		for b := 0; b < tc.benches && tc.specs > 0; b++ {
+			if next[b] != tc.specs {
+				t.Errorf("%+v: benchmark %d covered up to spec %d of %d", tc, b, next[b], tc.specs)
+			}
+		}
+	}
+}
+
+func repeat(v, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }

@@ -9,20 +9,22 @@
 // callback fired after every completed (benchmark, configuration) job —
 // ProgressReporter turns it into a live terminal line with ETA and
 // aggregate MIPS — and Options.Metrics names a metrics.Registry that
-// accumulates per-job wall time, simulated instructions and cycles, and
+// accumulates per-job time, simulated instructions and cycles, and
 // every simulator counter (stall categories, occupancy, retirement
 // latency) across the run; cmd/wbserve serves the same registry over
 // HTTP.
 //
 // Execution is pluggable.  Matrix jobs are fully independent and
-// deterministic, so Options.Backend can swap the in-process runner for
-// any internal/dispatch backend: a dispatch.Remote shards the sweep
-// across `wbserve -worker` processes, and a dispatch.Cached stores every
+// deterministic.  The default (nil) backend runs them in this process, a
+// benchmark and up to eight of its configurations at a time, in lockstep
+// over one generated reference stream (dispatch.ExecuteGroup).
+// Options.Backend swaps that for any internal/dispatch backend, which
+// runs one job at a time: a dispatch.Remote shards the sweep across
+// `wbserve -worker` processes, and a dispatch.Cached stores every
 // completed job so a killed sweep, rerun over the same store, resumes
-// where it stopped.  The default (nil) backend runs every job in this
-// process, unchanged.  Experiment.Run takes a context and returns an
-// error, so a failed or cancelled distributed sweep reaches the caller as
-// an error.
+// where it stopped.  Every path produces the same measurements.
+// Experiment.Run takes a context and returns an error, so a failed or
+// cancelled distributed sweep reaches the caller as an error.
 // docs/DISTRIBUTED.md is the operator guide for the distributed path.
 //
 // The per-experiment index in DESIGN.md maps every experiment ID here to
@@ -40,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
-	"repro/internal/machconf"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -65,11 +66,12 @@ type Options struct {
 	// simulated cycles) and — on the default in-process path — the sim_*
 	// counters published by every finished machine.
 	Metrics *metrics.Registry
-	// Backend, when non-nil, executes matrix jobs through
-	// internal/dispatch instead of in-process: dispatch.Remote shards a
-	// sweep across wbserve workers, dispatch.Cached stores completed jobs
-	// so a rerun resumes, and dispatch.Local reproduces the default path
-	// explicitly.  nil keeps today's behaviour exactly.
+	// Backend, when non-nil, executes matrix jobs one at a time through
+	// internal/dispatch: dispatch.Remote shards a sweep across wbserve
+	// workers, dispatch.Cached stores completed jobs so a rerun resumes,
+	// and dispatch.Local runs each job in-process.  Every backend gives
+	// the same results as nil, which runs in-process in lockstep groups
+	// (see RunMatrixCtx).
 	// Benchmarks handed to a matrix run must be name-resolvable
 	// (workload.ByName) for a distributed backend, since jobs travel by
 	// benchmark name; every registered experiment satisfies this.
@@ -110,23 +112,11 @@ func Run(b workload.Benchmark, label string, cfg sim.Config, n uint64) Measureme
 	return m
 }
 
-// ConfigSpec pairs a configuration with its display label.
-type ConfigSpec struct {
-	Label string
-	Cfg   sim.Config
-}
-
-// Canonical renders the spec's machine in machconf's canonical form — the
-// same bytes the dispatch wire format ships and wbsim -dump-config prints.
-func (s ConfigSpec) Canonical() ([]byte, error) {
-	return machconf.Encode(s.Cfg)
-}
-
-// Hash returns the machine's canonical machconf content address, the
-// identity the result store and the wbserve result cache key on.
-func (s ConfigSpec) Hash() (string, error) {
-	return machconf.Hash(s.Cfg)
-}
+// ConfigSpec pairs a configuration with its display label.  It is an
+// alias of dispatch.ConfigSpec, the unit the lockstep groups run; its
+// Canonical and Hash methods give the machine's machconf form and content
+// address.
+type ConfigSpec = dispatch.ConfigSpec
 
 // CustomSweep builds an unregistered experiment over caller-supplied
 // configurations — the wbexp -config path, where the specs come from
@@ -145,13 +135,16 @@ func CustomSweep(specs []ConfigSpec) Experiment {
 // instruction count; o.Benchmarks is ignored — the benchmark list is the
 // explicit argument.
 //
-// Jobs run on a pool of goroutines — sized by GOMAXPROCS, or by the
+// Work runs on a pool of goroutines — sized by GOMAXPROCS, or by the
 // backend's Concurrency hint when it offers one (a remote pool wants
 // width proportional to its workers, not to local cores).  With o.Backend
-// nil every job executes in-process, and a job fails only on a machine the
-// simulator rejects.  The first job failure, or ctx's cancellation, stops
-// the remaining jobs and is returned; the partial matrix is discarded (a
-// store-backed backend keeps the completed jobs for the rerun).
+// nil the unit of work is a benchmark and up to eight of its
+// configurations, run in lockstep over one reference stream
+// (dispatch.ExecuteGroup), and a job fails only on a machine the
+// simulator rejects.  A backend runs one job per unit.  The first
+// failure, or ctx's cancellation, stops the remaining work and is
+// returned; the partial matrix is discarded (a store-backed backend keeps
+// the completed jobs for the rerun).
 func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options) ([][]Measurement, error) {
 	n := o.instructions()
 	out := make([][]Measurement, len(benches))
@@ -159,6 +152,7 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 		out[i] = make([]Measurement, len(specs))
 	}
 	total := len(benches) * len(specs)
+	begin := time.Now()
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -184,6 +178,7 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 			Instructions: mnt.C.Instructions,
 			Cycles:       mnt.C.Cycles,
 			JobTime:      jobTime,
+			Elapsed:      time.Since(begin),
 		})
 	}
 
@@ -210,51 +205,59 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 			}
 		}
 	}
-	type job struct{ bi, ci int }
-	jobs := make(chan job)
+	// run executes one unit and returns its measurements and job times.
+	run := func(b workload.Benchmark, group []ConfigSpec) ([]Measurement, []time.Duration, error) {
+		if o.Backend == nil {
+			return dispatch.ExecuteGroup(ctx, b, group, n, o.Metrics)
+		}
+		start := time.Now()
+		mnt, err := o.Backend.Run(ctx, dispatch.Job{Bench: b.Name, Label: group[0].Label, Cfg: group[0].Cfg, N: n})
+		if err != nil {
+			err = fmt.Errorf("%s: %w", group[0].Label, err) // as ExecuteGroup names it
+		}
+		return []Measurement{mnt}, []time.Duration{time.Since(start)}, err
+	}
+	perUnit := 1
+	if o.Backend == nil {
+		perUnit = unitSpecs
+	}
+	units := make(chan unit)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for u := range units {
 				if ctx.Err() != nil {
 					continue // drain; the sweep is aborting
 				}
-				start := time.Now()
-				b, spec := benches[j.bi], specs[j.ci]
-				var (
-					mnt Measurement
-					err error
-				)
-				if o.Backend == nil {
-					mnt, err = dispatch.ExecuteBench(b, spec.Label, spec.Cfg, n, o.Metrics)
-				} else {
-					mnt, err = o.Backend.Run(ctx, dispatch.Job{Bench: b.Name, Label: spec.Label, Cfg: spec.Cfg, N: n})
-				}
+				b, group := benches[u.bench], specs[u.lo:u.hi]
+				mnts, times, err := run(b, group)
 				// ErrResultNotStored: the measurement is valid, only the
 				// store write failed — a full disk must not fail the sweep;
 				// the store's metrics record the miss.
 				if err != nil && !errors.Is(err, dispatch.ErrResultNotStored) {
-					fail(fmt.Errorf("experiment: job %s/%s: %w", b.Name, spec.Label, err))
+					if ctx.Err() == nil {
+						fail(fmt.Errorf("experiment: job %s/%w", b.Name, err))
+					}
 					continue
 				}
-				out[j.bi][j.ci] = mnt
-				report(mnt, time.Since(start))
+				for i, mnt := range mnts {
+					out[u.bench][u.lo+i] = mnt
+					report(mnt, times[i])
+				}
 			}
 		}()
 	}
 feed:
-	for bi := range benches {
-		for ci := range specs {
-			select {
-			case jobs <- job{bi, ci}:
-			case <-ctx.Done():
-				break feed
-			}
+	for _, u := range splitUnits(len(benches), len(specs), perUnit, workers) {
+		select {
+		case units <- u:
+		case <-ctx.Done():
+			break feed
 		}
 	}
-	close(jobs)
+	close(units)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
@@ -263,6 +266,39 @@ feed:
 		return nil, err
 	}
 	return out, nil
+}
+
+// unitSpecs is the most configurations one in-process unit runs in
+// lockstep.  It caps the machines alive per worker, and past eight less
+// than ~4% of a job's time — its share of reference generation — is left
+// to save.
+const unitSpecs = 8
+
+// unit is one benchmark and the specs [lo, hi) run together.
+type unit struct{ bench, lo, hi int }
+
+// splitUnits cuts a benches × specs matrix into units of at most per
+// consecutive specs of one benchmark, benchmark-major.  When that leaves
+// fewer units than workers, each benchmark's specs are split further so
+// every worker has a unit; the split is as even as the counts allow.
+func splitUnits(benches, specs, per, workers int) []unit {
+	if specs == 0 {
+		return nil
+	}
+	parts := (specs + per - 1) / per
+	if benches > 0 && benches*parts < workers {
+		parts = (workers + benches - 1) / benches
+	}
+	if parts > specs {
+		parts = specs
+	}
+	out := make([]unit, 0, benches*parts)
+	for b := 0; b < benches; b++ {
+		for p := 0; p < parts; p++ {
+			out = append(out, unit{b, p * specs / parts, (p + 1) * specs / parts})
+		}
+	}
+	return out
 }
 
 // Experiment is one reproducible paper item.

@@ -141,7 +141,7 @@ func runMultiprog(_ context.Context, o Options) (*Report, error) {
 				label = fmt.Sprintf("%s+%s / %d", pair[0], pair[1], q)
 			}
 			m := sim.MustNew(sim.Baseline())
-			warmRun(m, s, o.instructions())
+			dispatch.WarmRun(s, o.instructions(), m)
 			c := m.Counters()
 			rep.Rows = append(rep.Rows, []string{
 				label,
@@ -175,9 +175,7 @@ func runWriteCache(_ context.Context, o Options) (*Report, error) {
 	// RunMatrixCtx does not expose write counts, so run directly here.
 	for _, b := range benches {
 		row := []string{b.Name}
-		for _, s := range specs {
-			m := sim.MustNew(s.Cfg)
-			streamWarm(m, b, o.instructions())
+		for _, m := range warmGroup(specs, b, o.instructions()) {
 			c := m.Counters()
 			writes := c.Retirements + c.FlushedEntries
 			per100 := float64(0)
@@ -216,13 +214,13 @@ func runMembar(_ context.Context, o Options) (*Report, error) {
 				label = fmt.Sprintf("%s / %d", b.Name, period)
 			}
 			row := []string{label}
-			for _, cfgSpec := range configs {
-				m := sim.MustNew(cfgSpec.Cfg)
-				s := trace.Stream(b.Stream(o.instructions()))
-				if period > 0 {
-					s = trace.NewInject(s, trace.Ref{Kind: trace.Membar}, period)
-				}
-				warmRun(m, s, o.instructions())
+			ms := machines(configs)
+			s := trace.Stream(b.Stream(o.instructions()))
+			if period > 0 {
+				s = trace.NewInject(s, trace.Ref{Kind: trace.Membar}, period)
+			}
+			dispatch.WarmRun(s, o.instructions(), ms...)
+			for _, m := range ms {
 				c := m.Counters()
 				row = append(row, fmt.Sprintf("%5.2f (mb %4.2f)",
 					c.TotalStallPct(), c.StallPct(stats.MembarDrain)))
@@ -253,9 +251,7 @@ func runOccupancy(_ context.Context, o Options) (*Report, error) {
 	}
 	for _, b := range benches {
 		row := []string{b.Name}
-		for _, s := range specs {
-			m := sim.MustNew(s.Cfg)
-			streamWarm(m, b, o.instructions())
+		for _, m := range warmGroup(specs, b, o.instructions()) {
 			h := m.OccupancyHistogram()
 			var total, tight uint64
 			for k, v := range h {
@@ -292,7 +288,7 @@ func runAnalytic(_ context.Context, o Options) (*Report, error) {
 			panic(err)
 		}
 		m := sim.MustNew(sim.Baseline().WithDepth(tc.depth).WithRetire(core.RetireAt{N: tc.hwm}))
-		warmRun(m, bernoulliStores(q, o.instructions()), o.instructions())
+		dispatch.WarmRun(bernoulliStores(q, o.instructions()), o.instructions(), m)
 		c := m.Counters()
 		simBlock := float64(0)
 		if c.Stores > 0 {
@@ -327,14 +323,19 @@ func bernoulliStores(q float64, n uint64) trace.Stream {
 	return trace.NewSliceStream(refs)
 }
 
-// streamWarm runs a benchmark with the standard warm-up split.
-func streamWarm(m *sim.Machine, b workload.Benchmark, n uint64) {
-	warmRun(m, b.Stream(n), n)
+// machines builds one machine per spec.
+func machines(specs []ConfigSpec) []*sim.Machine {
+	ms := make([]*sim.Machine, len(specs))
+	for i, s := range specs {
+		ms[i] = sim.MustNew(s.Cfg)
+	}
+	return ms
 }
 
-// warmRun executes the first quarter of the stream unmeasured.  The
-// implementation lives in dispatch.WarmRun so local and remote execution
-// share the warm-up split exactly.
-func warmRun(m *sim.Machine, s trace.Stream, n uint64) {
-	dispatch.WarmRun(m, s, n)
+// warmGroup runs benchmark b on one machine per spec, in lockstep over one
+// stream with the standard warm-up split, and returns the machines.
+func warmGroup(specs []ConfigSpec, b workload.Benchmark, n uint64) []*sim.Machine {
+	ms := machines(specs)
+	dispatch.WarmRun(b.Stream(n), n, ms...)
+	return ms
 }

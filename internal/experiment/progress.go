@@ -18,8 +18,16 @@ type ProgressEvent struct {
 	// Instructions and Cycles are the job's measured (post-warm-up)
 	// dynamic instruction and cycle counts.
 	Instructions, Cycles uint64
-	// JobTime is the job's wall-clock duration, warm-up included.
+	// JobTime is the worker time the job consumed, warm-up included.  On
+	// the default in-process path a job shares its reference stream with
+	// the other machines of its lockstep unit: JobTime is its own machine
+	// construction and simulation plus an equal share of the unit's
+	// generation, so the JobTimes of a unit add up to the unit's wall
+	// time.  Through a backend it is the job's wall-clock duration.
 	JobTime time.Duration
+	// Elapsed is the wall time from the start of the matrix run to this
+	// event; zero when the producer does not know it.
+	Elapsed time.Duration
 }
 
 // ProgressSnapshot is one point of the live ETA/MIPS series a Tracker
@@ -58,9 +66,15 @@ func (t *Tracker) Observe(ev ProgressEvent) ProgressSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.start.IsZero() {
-		// The first event arrives one job-time after the matrix began;
-		// backdating keeps the MIPS figure honest for short sweeps.
-		t.start = time.Now().Add(-ev.JobTime)
+		// Backdate the start to when the matrix began, which keeps the
+		// MIPS figure honest for short sweeps.  The first event arrives
+		// after its whole lockstep unit, not after its own JobTime; only a
+		// producer that does not report Elapsed falls back to JobTime.
+		back := ev.Elapsed
+		if back == 0 {
+			back = ev.JobTime
+		}
+		t.start = time.Now().Add(-back)
 	}
 	t.instr += ev.Instructions
 	elapsed := time.Since(t.start)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,9 @@ func TestProgressCallbackContract(t *testing.T) {
 		if ev.Instructions == 0 || ev.Cycles == 0 {
 			t.Errorf("event %d: empty measurement (instr %d, cycles %d)",
 				i, ev.Instructions, ev.Cycles)
+		}
+		if ev.JobTime <= 0 || ev.Elapsed < ev.JobTime {
+			t.Errorf("event %d: JobTime %v, Elapsed %v; want 0 < JobTime ≤ Elapsed", i, ev.JobTime, ev.Elapsed)
 		}
 	}
 	// The observed matrix must be complete despite callback overhead.
@@ -144,6 +148,36 @@ func TestTrackerSeries(t *testing.T) {
 	}
 	if s.Instructions != 6_000_000 || s.Cycles != 3_000_000 {
 		t.Errorf("snapshot counts %+v", s)
+	}
+}
+
+// TestTrackerUnitBurst: on the default path a lockstep unit's K events
+// arrive together, after the whole unit's wall time, each carrying only
+// its share of it as JobTime.  The tracker must backdate the start by the
+// unit's wall time (Elapsed), not by the first event's JobTime, or early
+// MIPS and ETA read K times too optimistic.
+func TestTrackerUnitBurst(t *testing.T) {
+	const k = 8
+	var tr Tracker
+	var s ProgressSnapshot
+	for i := 1; i <= k; i++ {
+		s = tr.Observe(ProgressEvent{
+			Done: i, Total: 2 * k, Bench: "li", Label: fmt.Sprintf("m%d", i),
+			Instructions: 250_000,
+			JobTime:      25 * time.Millisecond, // a K-th of the unit
+			Elapsed:      200 * time.Millisecond,
+		})
+	}
+	if s.Elapsed < 200*time.Millisecond {
+		t.Errorf("elapsed %v after a 200ms unit; the start was backdated by one job's share", s.Elapsed)
+	}
+	// 2e6 instructions in ≥ 0.2s: at most 10 MIPS (80 if backdated by JobTime).
+	if s.MIPS <= 0 || s.MIPS > 10.5 {
+		t.Errorf("MIPS = %v, want ~10", s.MIPS)
+	}
+	// Half done: ETA ≈ elapsed.
+	if s.ETA < s.Elapsed/2 || s.ETA > 2*s.Elapsed {
+		t.Errorf("ETA %v implausible for elapsed %v at half done", s.ETA, s.Elapsed)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 type Emitter struct {
 	out   chan []trace.Ref
 	free  chan []trace.Ref // spent chunks returned by the consumer for reuse
+	done  chan struct{}    // closed when the consumer abandons the stream
 	chunk []trace.Ref
 	left  uint64
 }
@@ -20,7 +21,7 @@ type Emitter struct {
 const emitChunk = 4096
 
 // stopEmit is the panic sentinel that unwinds a kernel once its instruction
-// quota is exhausted.
+// quota is exhausted or its consumer has closed the stream.
 type stopEmit struct{}
 
 // Load emits a load of addr.
@@ -83,7 +84,11 @@ func (e *Emitter) flush() {
 	if len(e.chunk) == 0 {
 		return
 	}
-	e.out <- e.chunk
+	select {
+	case e.out <- e.chunk:
+	case <-e.done:
+		panic(stopEmit{})
+	}
 	// Reuse a chunk the consumer has finished with when one is waiting;
 	// otherwise allocate.  In steady state the producer cycles through the
 	// same few buffers, so a multi-million-reference kernel run allocates a
@@ -99,12 +104,13 @@ func (e *Emitter) flush() {
 // kernelStream adapts the producer goroutine to trace.Stream and
 // trace.Generator.
 //
-// The stream must be consumed to exhaustion (every harness in this
-// repository does); abandoning it mid-way would park the producer
-// goroutine on its channel send for the life of the process.
+// A consumer that abandons the stream before exhaustion must Close it;
+// otherwise the producer goroutine stays parked on its channel send, with
+// its chunks, for the life of the process.
 type kernelStream struct {
 	ch       chan []trace.Ref
 	free     chan []trace.Ref
+	done     chan struct{}
 	cur      []trace.Ref
 	pos      int
 	execLeft uint64 // undelivered tail of a run-length-encoded Exec ref
@@ -117,10 +123,11 @@ func newKernelStream(n uint64, body func(*Emitter)) trace.Stream {
 	ks := &kernelStream{
 		ch:   make(chan []trace.Ref, 4),
 		free: make(chan []trace.Ref, 8),
+		done: make(chan struct{}),
 	}
 	go func() {
 		defer close(ks.ch)
-		e := &Emitter{out: ks.ch, free: ks.free, left: n, chunk: make([]trace.Ref, 0, emitChunk)}
+		e := &Emitter{out: ks.ch, free: ks.free, done: ks.done, left: n, chunk: make([]trace.Ref, 0, emitChunk)}
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stopEmit); !ok {
@@ -138,6 +145,19 @@ func newKernelStream(n uint64, body func(*Emitter)) trace.Stream {
 		e.flush()
 	}()
 	return ks
+}
+
+// Close stops the producer of a stream abandoned before exhaustion: its
+// kernel unwinds at the next chunk hand-off and the goroutine exits.  It
+// implements io.Closer; a second call, or one on a drained stream, does
+// nothing.
+func (k *kernelStream) Close() error {
+	select {
+	case <-k.done:
+	default:
+		close(k.done)
+	}
+	return nil
 }
 
 // recycle hands the fully consumed current chunk back to the producer.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -159,6 +160,36 @@ func TestKernelStreamRepeats(t *testing.T) {
 	}
 	if calls < 4 {
 		t.Fatalf("kernel body ran %d times, want >= 4", calls)
+	}
+}
+
+// Closing a kernel stream part-way stops its producer: the goroutine
+// unwinds the kernel and closes its channel instead of blocking on a send
+// nobody will receive.
+func TestKernelStreamCloseStopsProducer(t *testing.T) {
+	for _, name := range []string{"cholsky", "tomcatv", "fft", "gmtry"} {
+		b, ok := ByName(name)
+		if !ok {
+			t.Fatalf("no benchmark %q", name)
+		}
+		ks := b.Stream(1 << 40).(*kernelStream)
+		buf := make([]trace.Ref, 1000)
+		if got := ks.Fill(buf); got != len(buf) {
+			t.Fatalf("%s: Fill = %d, want %d", name, got, len(buf))
+		}
+		ks.Close()
+		ks.Close() // idempotent
+		exited := make(chan struct{})
+		go func() {
+			for range ks.ch { // the buffered chunks, then the close
+			}
+			close(exited)
+		}()
+		select {
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: producer still running after Close", name)
+		}
 	}
 }
 
