@@ -805,11 +805,9 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fast path for the classic synchronous single-job request: a store hit
-	// answers without touching the queue (and keeps the historical
-	// wbserve_cache_* series meaningful — hits never simulate, misses do).
+	// answers without touching the queue.
 	if !req.Async && len(jobs) == 1 {
 		if payload, ok := s.store.Get(jobs[0].Key); ok {
-			s.reg.Counter("wbserve_cache_hits_total").Inc()
 			resp, err := s.responseFromPayload(payload, jobs[0])
 			if err != nil {
 				httpError(w, http.StatusInternalServerError, "%v", err)
@@ -841,10 +839,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "enqueueing run: %v", err)
 		return
 	}
-	if !req.Async && len(jobs) == 1 {
-		s.reg.Counter("wbserve_cache_misses_total").Inc()
-	}
-
 	if req.Async {
 		writeJSON(w, http.StatusAccepted, s.runDoc(st, false))
 		return

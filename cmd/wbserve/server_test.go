@@ -116,11 +116,9 @@ func TestRunCaching(t *testing.T) {
 	if _, out := postRun(t, ts, `{"bench":"compress","n":100000,"depth":4}`); !out.Cached {
 		t.Error("normalized-equal request missed the cache")
 	}
-	if s.reg.Counter("wbserve_cache_hits_total").Value() != 2 {
-		t.Errorf("cache hits = %d, want 2", s.reg.Counter("wbserve_cache_hits_total").Value())
-	}
-	if s.reg.Counter("wbserve_cache_misses_total").Value() != 1 {
-		t.Errorf("cache misses = %d, want 1", s.reg.Counter("wbserve_cache_misses_total").Value())
+	// Only the first request simulated; the other two were store hits.
+	if n := s.reg.Counter("wbserve_dispatched_jobs_total").Value(); n != 1 {
+		t.Errorf("dispatched jobs = %d, want 1", n)
 	}
 }
 
@@ -371,7 +369,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`wbserve_requests_total{path="/run"} 1`,
-		"wbserve_cache_misses_total 1",
+		"wbserve_dispatched_jobs_total 1",
 		"sim_instructions_total",
 		"sim_retirement_latency_cycles_count",
 		`sim_stall_cycles_total{kind="L2-read-access"}`,

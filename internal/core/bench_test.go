@@ -42,6 +42,10 @@ func BenchmarkWriteCacheStore(b *testing.B) {
 	wc := NewWriteCache(Config{Depth: 8, WordsPerEntry: 4, Geometry: mem.DefaultGeometry})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if wc.Occupancy() == wc.Capacity() {
+			wc.BeginRetire()
+			wc.CompleteRetire()
+		}
 		wc.Store(mem.Addr(i%32)*mem.LineBytes, uint64(i))
 	}
 }

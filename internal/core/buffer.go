@@ -159,9 +159,6 @@ func (b *Buffer) wordMask(addr mem.Addr) uint64 {
 // Occupancy returns the number of valid entries, including one mid-retirement.
 func (b *Buffer) Occupancy() int { return b.n }
 
-// IsFull reports whether no entry can be allocated.
-func (b *Buffer) IsFull() bool { return b.n == b.cfg.Depth }
-
 // IsEmpty reports whether the buffer holds no entries.
 func (b *Buffer) IsEmpty() bool { return b.n == 0 }
 
@@ -237,18 +234,6 @@ func (b *Buffer) Store(addr mem.Addr, cycle uint64) StoreResult {
 	b.n++
 	b.stats.Allocations++
 	return StoreAllocated
-}
-
-// Insert appends a pre-formed entry at the FIFO tail — the write-cache
-// victim path, where a whole evicted block enters the (victim) buffer at
-// once.  It panics when full; callers must check IsFull first.
-func (b *Buffer) Insert(e Entry) {
-	if b.n == b.cfg.Depth {
-		panic("core: Insert into a full buffer")
-	}
-	b.buf[b.slot(b.n)] = e
-	b.n++
-	b.stats.Allocations++
 }
 
 // Probe checks whether an L1 load miss to addr hits in the buffer — the

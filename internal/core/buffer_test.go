@@ -295,7 +295,7 @@ func TestBufferInvariantsProperty(t *testing.T) {
 			switch op % 5 {
 			case 0, 1, 2: // store
 				res := b.Store(addr, uint64(op))
-				if res == StoreBlocked && !b.IsFull() {
+				if res == StoreBlocked && b.Occupancy() != b.Capacity() {
 					return false
 				}
 			case 3: // retire if possible

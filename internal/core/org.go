@@ -5,8 +5,9 @@ import "repro/internal/mem"
 // BufferOrg is a write-buffer organization: the structure behind the store
 // port that absorbs stores, answers load probes, selects retirement
 // victims, and surrenders entries to hazard flushes and barrier drains.
-// The paper's single coalescing FIFO (Buffer) is one organization; the
-// FTL-style multi-buffer structure (FTL) is another.  All *timing* —
+// The paper's single coalescing FIFO (Buffer) is one organization, the
+// FTL-style multi-buffer structure (FTL) another, and Jouppi's write cache
+// with its victim slot (WriteCache) a third.  All *timing* —
 // when retirements start, how long the L2 port is busy, what a stall
 // costs — stays in internal/sim, which drives an organization through
 // exactly these methods, so a new organization changes which entries move

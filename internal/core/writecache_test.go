@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,20 +14,27 @@ func newWC(depth int) *WriteCache {
 	return NewWriteCache(cfg)
 }
 
+// retireVictim writes the parked victim back, as the simulator's
+// retire-at-Capacity policy does.
+func retireVictim(w *WriteCache) Entry {
+	e := w.BeginRetire()
+	w.CompleteRetire()
+	return e
+}
+
 func TestWriteCacheStoreMergeAllocate(t *testing.T) {
 	w := newWC(2)
-	if _, has := w.Store(0x100, 1); has {
-		t.Fatal("first store evicted from an empty cache")
+	if r := w.Store(0x100, 1); r != StoreAllocated {
+		t.Fatalf("first store = %v, want allocated", r)
 	}
-	if _, has := w.Store(0x108, 2); has {
-		t.Fatal("same-line store evicted")
+	if r := w.Store(0x108, 2); r != StoreMerged {
+		t.Fatalf("same-line store = %v, want merged", r)
 	}
-	s := w.Stats()
-	if s.Allocations != 1 || s.Merges != 1 {
+	if s := w.Stats(); s.Allocations != 1 || s.Merges != 1 {
 		t.Fatalf("stats = %+v, want 1 alloc + 1 merge", s)
 	}
-	if w.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d, want 1", w.Occupancy())
+	if w.Occupancy() != 1 || w.Capacity() != 3 {
+		t.Fatalf("occupancy/capacity = %d/%d, want 1/3", w.Occupancy(), w.Capacity())
 	}
 }
 
@@ -45,18 +52,43 @@ func TestWriteCacheLRUEviction(t *testing.T) {
 	w.Store(0x000, 1) // A
 	w.Store(0x040, 2) // B; A is now LRU
 	w.Store(0x008, 3) // touch A: B becomes LRU
-	victim, has := w.Store(0x080, 4)
-	if !has {
-		t.Fatal("full cache did not evict")
+	if r := w.Store(0x080, 4); r != StoreAllocated || w.Occupancy() != 3 {
+		t.Fatalf("store into a full cache = %v, occupancy %d; want B parked as the victim", r, w.Occupancy())
 	}
-	if victim.Tag != w.EntryTag(0x040) {
-		t.Fatalf("evicted tag %#x, want B's (LRU)", victim.Tag)
+	if w.HeadAllocCycle() != 2 {
+		t.Fatalf("victim alloc cycle %d, want B's (2)", w.HeadAllocCycle())
 	}
-	if victim.Valid != 0b0001 {
-		t.Fatalf("victim valid mask = %04b, want 0001", victim.Valid)
+	victim := retireVictim(w)
+	if victim.Tag != w.EntryTag(0x040) || victim.Valid != 0b0001 {
+		t.Fatalf("victim %+v, want B's tag %#x with mask 0001", victim, w.EntryTag(0x040))
 	}
-	if w.Stats().Retirements != 1 {
-		t.Fatal("eviction not counted as a retirement")
+	if w.Stats().Retirements != 1 || w.Occupancy() != 2 {
+		t.Fatalf("after the victim write: %+v, occupancy %d", w.Stats(), w.Occupancy())
+	}
+}
+
+// A miss on a full cache with the victim slot busy is blocked and leaves
+// the cache exactly as it was.  The victim keeps its data until its
+// write-back completes, so loads still hit it mid-retirement.
+func TestWriteCacheBlockedStoreAndRetiringVictim(t *testing.T) {
+	w := newWC(1)
+	w.Store(0x000, 1)
+	w.Store(0x040, 2) // A to the victim slot
+	w.BeginRetire()
+	before := *w
+	before.lines = append([]wcLine(nil), w.lines...)
+	if r := w.Store(0x080, 3); r != StoreBlocked || !reflect.DeepEqual(before, *w) {
+		t.Fatalf("store with a busy victim slot = %v (want blocked), or it changed the cache", r)
+	}
+	if idx, wordValid, hit := w.Probe(0x000); !hit || !wordValid || idx != w.Find(0x000) {
+		t.Fatalf("probe of the retiring victim = (%d,%v,%v), find %d", idx, wordValid, hit, w.Find(0x000))
+	}
+	w.CompleteRetire()
+	if _, _, hit := w.Probe(0x000); hit {
+		t.Fatal("the written-back victim still hits")
+	}
+	if r := w.Store(0x080, 4); r != StoreAllocated {
+		t.Fatalf("retried store = %v, want allocated", r)
 	}
 }
 
@@ -65,11 +97,11 @@ func TestWriteCacheProbeRefreshesLRU(t *testing.T) {
 	w.Store(0x000, 1) // A
 	w.Store(0x040, 2) // B
 	// Read A: A becomes MRU, so the next eviction takes B.
-	if wordValid, hit := w.Probe(0x000); !hit || !wordValid {
+	if _, wordValid, hit := w.Probe(0x000); !hit || !wordValid {
 		t.Fatalf("probe of stored word = (%v,%v)", wordValid, hit)
 	}
-	victim, _ := w.Store(0x080, 3)
-	if victim.Tag != w.EntryTag(0x040) {
+	w.Store(0x080, 3)
+	if victim := retireVictim(w); victim.Tag != w.EntryTag(0x040) {
 		t.Fatal("probe did not refresh LRU order")
 	}
 }
@@ -77,70 +109,73 @@ func TestWriteCacheProbeRefreshesLRU(t *testing.T) {
 func TestWriteCacheProbeWordInvalid(t *testing.T) {
 	w := newWC(2)
 	w.Store(0x100, 1)
-	wordValid, hit := w.Probe(0x118) // same line, unwritten word
+	_, wordValid, hit := w.Probe(0x118) // same line, unwritten word
 	if !hit || wordValid {
 		t.Fatalf("probe = (%v,%v), want block hit with invalid word", wordValid, hit)
 	}
-	if _, hit := w.Probe(0x200); hit {
+	if _, _, hit := w.Probe(0x200); hit {
 		t.Fatal("probe of absent block hit")
 	}
-	s := w.Stats()
-	if s.LoadProbes != 2 || s.LoadHits != 1 {
+	if s := w.Stats(); s.LoadProbes != 2 || s.LoadHits != 1 {
 		t.Fatalf("probe stats = %+v", s)
 	}
 }
 
+// A barrier drain emits the victim first, then the lines oldest first.
 func TestWriteCacheDrainAllLRUOrder(t *testing.T) {
-	w := newWC(4)
-	w.Store(0x000, 1)
-	w.Store(0x040, 2)
-	w.Store(0x080, 3)
-	w.Store(0x008, 4) // touch A last
-	drained := w.DrainAll()
-	if len(drained) != 3 {
-		t.Fatalf("drained %d entries, want 3", len(drained))
+	w := newWC(3)
+	w.Store(0x000, 1) // A
+	w.Store(0x040, 2) // B
+	w.Store(0x080, 3) // C
+	w.Store(0x008, 4) // touch A: B is LRU
+	w.Store(0x0c0, 5) // D; B to the victim slot
+	var got []mem.Addr
+	for _, e := range w.FlushAllInto(make([]Entry, 0, w.Capacity())) {
+		got = append(got, w.AddrOf(e))
 	}
-	// Oldest first: B, C, then A (A was touched last).
-	if drained[0].Tag != w.EntryTag(0x040) || drained[2].Tag != w.EntryTag(0x000) {
-		t.Fatalf("drain order wrong: %v", drained)
+	if want := []mem.Addr{0x040, 0x080, 0x000, 0x0c0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("drain order %#x, want %#x", got, want)
 	}
-	if !w.IsEmpty() {
-		t.Fatal("cache not empty after drain")
-	}
-	if w.Stats().Flushes != 3 {
-		t.Fatal("drained entries not counted as flushes")
+	if w.Occupancy() != 0 || w.Stats().Flushes != 4 {
+		t.Fatalf("after the drain: occupancy %d, %+v", w.Occupancy(), w.Stats())
 	}
 }
 
-func TestWriteCacheAddrOfAndString(t *testing.T) {
+func TestWriteCacheAddrOf(t *testing.T) {
 	w := newWC(2)
 	w.Store(0x12348, 1)
-	var e Entry
-	for _, d := range w.DrainAll() {
-		e = d
-	}
+	e := w.FlushThroughInto(nil, w.Find(0x12348))[0]
 	if got := w.AddrOf(e); got != 0x12340 {
 		t.Errorf("AddrOf = %#x, want 0x12340", got)
 	}
-	if !strings.Contains(w.String(), "0/2") {
-		t.Errorf("String = %q", w.String())
+	if w.Occupancy() != 0 || w.Stats().Flushes != 1 {
+		t.Errorf("after FlushThroughInto: occupancy %d, %+v", w.Occupancy(), w.Stats())
 	}
 }
 
-// Property: occupancy never exceeds depth; evictions happen exactly when a
-// store misses a full cache; alloc count = evictions + drains + resident.
+// Property: occupancy never exceeds capacity; a store is blocked exactly
+// when it misses a full cache whose victim slot is busy; every allocated
+// line is retired, flushed, or still resident.
 func TestWriteCacheInvariantsProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		w := newWC(4)
 		for _, op := range ops {
-			addr := mem.Addr(op%96) * 8
-			wasFull := w.Occupancy() == 4
-			_, evicted := w.Store(addr, uint64(op))
-			if evicted && !wasFull {
-				return false
-			}
-			if w.Occupancy() > 4 {
-				return false
+			switch {
+			case op%16 == 0 && w.Occupancy() == w.Capacity() && !w.Retiring():
+				w.BeginRetire()
+			case op%16 == 1 && w.Retiring():
+				w.CompleteRetire()
+			case op%16 == 2 && !w.Retiring():
+				w.FlushAllInto(nil)
+			case op%16 > 2:
+				addr := mem.Addr(op%96) * 8
+				wasFull, lineHit := w.Occupancy() == w.Capacity(), w.Find(addr) >= 0 && w.Find(addr) < 4
+				if blocked := w.Store(addr, uint64(op)) == StoreBlocked; blocked != (wasFull && !lineHit) {
+					return false
+				}
+				if w.Occupancy() > w.Capacity() {
+					return false
+				}
 			}
 		}
 		s := w.Stats()
@@ -158,9 +193,11 @@ func TestWriteCacheStoreThenProbeProperty(t *testing.T) {
 		w := newWC(4)
 		for _, a := range addrs {
 			addr := mem.Addr(a) &^ 7
-			w.Store(addr, 0)
-			wordValid, hit := w.Probe(addr)
-			if !hit || !wordValid {
+			if w.Store(addr, 0) == StoreBlocked {
+				retireVictim(w)
+				w.Store(addr, 0)
+			}
+			if _, wordValid, hit := w.Probe(addr); !hit || !wordValid {
 				return false
 			}
 		}

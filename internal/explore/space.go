@@ -67,7 +67,7 @@ type Space struct {
 	// RowHits, and RowMisses sweep the banked shape and are pinned to
 	// their first values for non-banked points.  Unlike the buffer-shape
 	// axes, the backend is NOT pinned under a write cache: it times the
-	// victim-buffer drains too.  Custom backend specs enter through Base.
+	// victim-slot drains too.  Custom backend specs enter through Base.
 	Backends  []string
 	Banks     []int
 	RowHits   []uint64
@@ -203,7 +203,7 @@ func Default() *Space {
 
 // CostProxy returns a configuration's area proxy in word-slots of storage:
 // depth × entry width for a write buffer, doubled for a write cache (its
-// fully associative CAM match and victim-buffer path cost roughly a second
+// fully associative CAM match and victim-slot path cost roughly a second
 // buffer's worth of area per entry).  The ftl organization adjusts the
 // buffer figure in both directions: each extra buffer adds one word-slot
 // of head/count control, and coarse sector granules shrink every entry's
@@ -453,7 +453,7 @@ func (s *Space) Enumerate() ([]Candidate, error) {
 																			}
 																			cfg = cfg.WithMemLat(memlat)
 																			// The backend is deliberately NOT pinned under
-																			// a write cache: it times victim-buffer drains.
+																			// a write cache: it times victim-slot drains.
 																			switch be {
 																			case "flat":
 																				cfg = cfg.WithBackend(nil)

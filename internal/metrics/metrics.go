@@ -125,32 +125,6 @@ func (h *LocalHistogram) Observe(v uint64) {
 // Reset zeroes the histogram.
 func (h *LocalHistogram) Reset() { *h = LocalHistogram{} }
 
-// Count returns the number of observations.
-func (h *LocalHistogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *LocalHistogram) Sum() uint64 { return h.sum }
-
-// Mean returns the mean observation, or 0 with no observations.
-func (h *LocalHistogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Buckets returns a copy of the non-empty bucket counts, keyed by the
-// bucket's exclusive upper bound, mirroring Histogram.Buckets.
-func (h *LocalHistogram) Buckets() map[uint64]uint64 {
-	out := map[uint64]uint64{}
-	for k, n := range h.buckets {
-		if n > 0 {
-			out[bucketBound(k)] = n
-		}
-	}
-	return out
-}
-
 // MergeLocal adds every bucket, the sum, and the count of a goroutine-local
 // histogram into h.
 func (h *Histogram) MergeLocal(other *LocalHistogram) {

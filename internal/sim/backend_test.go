@@ -44,7 +44,7 @@ func backendBenches() []string {
 // and benchmark once with the implicit flat backend and once per
 // degenerate shape, and requires identical observable state.  The
 // write-cache configuration rides along to pin that the backend times the
-// victim buffer's drains the same way.
+// victim slot's drains the same way.
 func TestBackendDegenerateMatchesFlat(t *testing.T) {
 	const n = 40_000
 	shapes := degenerateBackends()
@@ -102,20 +102,7 @@ func bankedShapes() map[string]Config {
 // per-reference stepping bit for bit under bank queueing, row misses, and
 // fence surcharges.
 func TestBankedFusedMatchesLegacy(t *testing.T) {
-	const n = 40_000
-	for name, cfg := range bankedShapes() {
-		for _, bench := range backendBenches() {
-			b, _ := workload.ByName(bench)
-			legacy := MustNew(cfg)
-			runLegacy(legacy, b.Stream(n), n)
-			fused := MustNew(cfg)
-			runFused(fused, b.Stream(n), n)
-			if want, got := snapshot(legacy), snapshot(fused); !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: fused path diverged\nlegacy: %+v\nfused:  %+v",
-					name, bench, want, got)
-			}
-		}
-	}
+	assertFusedMatchesLegacy(t, bankedShapes(), backendBenches())
 }
 
 // TestBankedChangesTiming is the sanity check that the backend is a real
@@ -184,20 +171,7 @@ func TestFencedChangesTiming(t *testing.T) {
 func TestZeroAllocSteadyStateBanked(t *testing.T) {
 	refs := benchRefs(1 << 12)
 	for name, cfg := range bankedShapes() {
-		m := MustNew(cfg)
-		m.StepBatch(refs)
-		i := 0
-		if avg := testing.AllocsPerRun(200, func() {
-			m.Step(refs[i&(len(refs)-1)])
-			i++
-		}); avg != 0 {
-			t.Errorf("%s: Step allocates %.1f per call in steady state", name, avg)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
-			m.StepBatch(refs)
-		}); avg != 0 {
-			t.Errorf("%s: StepBatch allocates %.1f per batch in steady state", name, avg)
-		}
+		assertZeroAlloc(t, name, cfg, refs)
 	}
 }
 

@@ -34,7 +34,8 @@ func benchRefs(n int) []trace.Ref {
 // must not slow it down: the only instrument the machine updates during
 // execution is the retirement-latency histogram, touched once per
 // retirement (a path that already performs an L2 write), never per
-// instruction.
+// instruction.  The write-cache and ftl cases take the interface-dispatched
+// organization path instead of the devirtualized FIFO.
 func BenchmarkStep(b *testing.B) {
 	refs := benchRefs(1 << 16)
 	for _, bc := range []struct {
@@ -44,6 +45,8 @@ func BenchmarkStep(b *testing.B) {
 		{"baseline", Baseline()},
 		{"deep-lazy", Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB)},
 		{"finiteL2", Baseline().WithL2(512 << 10)},
+		{"write-cache", Baseline().WithWriteCache(8)},
+		{"ftl", Baseline().WithOrg(core.FTLOrg{NumBuffers: 2, SectorBits: 1})},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := MustNew(bc.cfg)

@@ -64,8 +64,8 @@ type Config struct {
 	// core.FTLOrg is the multi-buffer sector-masked family.  Custom
 	// organizations register a machconf codec to travel through remote
 	// workers and the result store.  A write cache
-	// (WriteCacheDepth > 0) replaces the write buffer wholesale, so Org is
-	// ignored there, like Retire and Hazard.
+	// (WriteCacheDepth > 0) is itself the organization, so Org is ignored
+	// there, and Retire and Hazard are replaced.
 	Org core.OrgSpec
 	// Backend selects the drain-side timing model every block write
 	// (retirement, hazard flush, barrier drain) runs through: nil is the
@@ -75,7 +75,7 @@ type Config struct {
 	// with differentiated store-release vs full-fence costs.  Custom
 	// backends register a machconf codec to travel through remote
 	// workers and the result store.  Unlike Org, the backend also
-	// applies under a write cache — it times the victim buffer's drains.
+	// applies under a write cache — it times the victim writes and drains.
 	Backend backend.Spec
 	// Retire decides when the organization autonomously retires its victim
 	// (the FIFO head; the fullest buffer's oldest entry under ftl).
@@ -101,11 +101,12 @@ type Config struct {
 	// full-line-wide datapath.
 	WriteTransferCycles uint64
 	// WriteCacheDepth, when > 0, replaces the write buffer with a Jouppi
-	// style write cache of that many fully associative, LRU-replaced
-	// entries (plus a one-entry victim buffer that eagerly writes evicted
-	// blocks to L2).  Loads read from the write cache directly, so the
-	// Hazard policy setting is ignored; Retire only governs the victim
-	// buffer and is forced to the eager policy.
+	// style write cache (core.WriteCache) of that many fully associative,
+	// LRU-replaced lines plus a one-entry victim slot that evicted lines
+	// leave through.  Loads read from the write cache directly, so Hazard
+	// is replaced by read-from-WB; Retire is replaced by retire-at-full
+	// (RetireAt{N: depth+1}), which writes a victim back as soon as one is
+	// parked.
 	WriteCacheDepth int
 	// ChargeWriteMissFetch, when true, charges MemLat extra for a
 	// partial-line retirement that misses a finite L2 (the fetch-on-write

@@ -86,9 +86,16 @@ var fusedBenches = []string{"li", "compress", "tomcatv", "cholsky"}
 // benchmarks, the batched path must reproduce the per-reference path's
 // stall counts, occupancy histograms, and CPI exactly.
 func TestRunGeneratorMatchesRun(t *testing.T) {
+	assertFusedMatchesLegacy(t, fusedConfigs(), fusedBenches)
+}
+
+// assertFusedMatchesLegacy runs every configuration on every benchmark
+// down both execution paths and requires identical observable state.
+func assertFusedMatchesLegacy(t *testing.T, cfgs map[string]Config, benches []string) {
+	t.Helper()
 	const n = 40_000
-	for name, cfg := range fusedConfigs() {
-		for _, bench := range fusedBenches {
+	for name, cfg := range cfgs {
+		for _, bench := range benches {
 			b, ok := workload.ByName(bench)
 			if !ok {
 				t.Fatalf("unknown benchmark %q", bench)
@@ -97,8 +104,7 @@ func TestRunGeneratorMatchesRun(t *testing.T) {
 			runLegacy(legacy, b.Stream(n), n)
 			fused := MustNew(cfg)
 			runFused(fused, b.Stream(n), n)
-			want, got := snapshot(legacy), snapshot(fused)
-			if !reflect.DeepEqual(want, got) {
+			if want, got := snapshot(legacy), snapshot(fused); !reflect.DeepEqual(want, got) {
 				t.Errorf("%s/%s: fused path diverged\nlegacy: %+v\nfused:  %+v",
 					name, bench, want, got)
 			}
@@ -196,30 +202,25 @@ func TestFlattenedPoliciesMatchInterface(t *testing.T) {
 // TestZeroAllocSteadyState pins the tentpole's allocation contract: once a
 // machine is warm, neither per-reference stepping nor the batched path may
 // allocate, for any hazard policy (flushes reuse the machine's scratch
-// slice) or the write-cache design.
+// slice) or the write-cache design, barrier drains included.
 func TestZeroAllocSteadyState(t *testing.T) {
-	cfgs := map[string]Config{
-		"baseline":    Baseline(),
-		"read-wb":     Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB),
-		"flush-part":  Baseline().WithHazard(core.FlushPartial),
-		"write-cache": Baseline().WithWriteCache(8),
-	}
 	refs := benchRefs(1 << 12)
-	for name, cfg := range cfgs {
-		m := MustNew(cfg)
-		m.StepBatch(refs) // warm: first StepBatch allocates nothing, but caches may grow later
-		i := 0
-		if avg := testing.AllocsPerRun(200, func() {
-			m.Step(refs[i&(len(refs)-1)])
-			i++
-		}); avg != 0 {
-			t.Errorf("%s: Step allocates %.1f per call in steady state", name, avg)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
-			m.StepBatch(refs)
-		}); avg != 0 {
-			t.Errorf("%s: StepBatch allocates %.1f per batch in steady state", name, avg)
-		}
+	fenced := append([]trace.Ref(nil), refs...)
+	for i := 49; i < len(fenced); i += 50 {
+		fenced[i] = trace.Ref{Kind: trace.Membar}
+	}
+	cases := map[string]struct {
+		cfg  Config
+		refs []trace.Ref
+	}{
+		"baseline":             {Baseline(), refs},
+		"read-wb":              {Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB), refs},
+		"flush-part":           {Baseline().WithHazard(core.FlushPartial), refs},
+		"write-cache":          {Baseline().WithWriteCache(8), refs},
+		"write-cache-membar50": {Baseline().WithWriteCache(8), fenced},
+	}
+	for name, tc := range cases {
+		assertZeroAlloc(t, name, tc.cfg, tc.refs)
 	}
 	// The full fused job shape: generator Fill + RunGenerator.  The
 	// generator replays a pre-materialised batch so the measurement sees
@@ -233,6 +234,24 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		m.RunGenerator(g)
 	}); avg != 0 {
 		t.Errorf("fused run allocates %.1f per job in steady state", avg)
+	}
+}
+
+// assertZeroAlloc requires a warm machine to allocate nothing per Step or
+// per StepBatch; len(refs) must be a power of two.
+func assertZeroAlloc(t *testing.T, name string, cfg Config, refs []trace.Ref) {
+	t.Helper()
+	m := MustNew(cfg)
+	m.StepBatch(refs) // warm: first StepBatch allocates nothing, but caches may grow later
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		m.Step(refs[i&(len(refs)-1)])
+		i++
+	}); avg != 0 {
+		t.Errorf("%s: Step allocates %.1f per call in steady state", name, avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() { m.StepBatch(refs) }); avg != 0 {
+		t.Errorf("%s: StepBatch allocates %.1f per batch in steady state", name, avg)
 	}
 }
 

@@ -18,10 +18,9 @@ type Machine struct {
 
 	l1 *cache.Cache
 	l2 *cache.Cache // nil: perfect L2
-	// org is the write-buffer organization the retirement engine drains:
-	// the paper's FIFO, the ftl multi-buffer structure, or a registered
-	// custom one.  Under the write-cache path it is that cache's one-entry
-	// victim buffer (eager retirement).
+	// org is the write stage the retirement engine drains: the paper's
+	// FIFO, the ftl multi-buffer structure, a registered custom
+	// organization, or Jouppi's write cache (Section 5).
 	org core.BufferOrg
 	// rb is org when it is the ring FIFO, else nil.  The wb* accessors in
 	// wborg.go check it so the overwhelmingly common organization calls
@@ -30,15 +29,6 @@ type Machine struct {
 	rb *core.Buffer
 	// lineMask is org.FullLineMask(), cached for l2WritePenalty.
 	lineMask uint64
-	// path is the configured write stage — the plain coalescing buffer or
-	// Jouppi's write cache — behind the storePath interface; everything
-	// design-specific about stores and load servicing lives there.
-	path storePath
-	// bp is path when it is the plain buffer path, else nil.  Stores and
-	// loads check it so the overwhelmingly common design calls concrete
-	// methods the compiler can inline instead of dispatching through the
-	// interface on every memory reference.
-	bp *bufferPath
 	// be is the drain-side backend every block write (retirement, hazard
 	// flush, barrier drain) is timed through: flat reproduces the paper's
 	// fixed latency, banked adds DRAM-style bank/row contention, fenced
@@ -99,7 +89,8 @@ type Machine struct {
 
 	// occHist[k] counts stores that found k entries occupied (before the
 	// store itself took effect) — the distribution behind the paper's
-	// headroom argument.  Index len-1 means "buffer full".
+	// headroom argument.  Index len-1 means "write stage full" (for a write
+	// cache: every line dirty and a victim still pending).
 	occHist []uint64
 
 	// retLat buckets the allocation→writeback latency of every autonomous
@@ -131,10 +122,20 @@ func New(cfg Config) (*Machine, error) {
 		cfg: cfg,
 		l1:  cache.New(cfg.L1),
 	}
-	if cfg.WriteCacheDepth > 0 {
-		m.path = newWriteCachePath(m, cfg)
-	} else {
-		m.path = newBufferPath(m, cfg)
+	switch {
+	case cfg.WriteCacheDepth > 0:
+		// The write cache replaces the write buffer wholesale: it always
+		// services reads, and retire-at-Capacity writes a victim back as
+		// soon as one is parked (the lines alone never retire).
+		wc := cfg.WB
+		wc.Depth = cfg.WriteCacheDepth
+		m.org = core.NewWriteCache(wc)
+		m.cfg.Hazard = core.ReadFromWB
+		m.cfg.Retire = core.RetireAt{N: m.org.Capacity()}
+	case cfg.Org != nil:
+		m.org = cfg.Org.NewOrg(cfg.WB)
+	default:
+		m.org = core.NewBuffer(cfg.WB)
 	}
 	if cfg.L2 != nil {
 		m.l2 = cache.New(*cfg.L2)
@@ -149,11 +150,8 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.rb, _ = m.org.(*core.Buffer)
 	m.lineMask = m.org.FullLineMask()
-	m.occHist = make([]uint64, m.path.histSize())
+	m.occHist = make([]uint64, m.org.Capacity()+1)
 	m.flushBuf = make([]core.Entry, 0, m.org.Capacity())
-	m.bp, _ = m.path.(*bufferPath)
-	// Resolve the retirement policy AFTER path construction: the write-cache
-	// path overrides cfg.Retire with eager retirement for its victim buffer.
 	switch p := m.cfg.Retire.(type) {
 	case core.Eager:
 		m.retKind = retEager
@@ -215,7 +213,7 @@ func (m *Machine) Counters() stats.Counters {
 	c.Cycles = m.clock - m.clockBase
 	ws := m.org.Stats()
 	c.Retirements = ws.Retirements
-	c.FlushedEntries = ws.Flushes + m.path.flushedExtra()
+	c.FlushedEntries = ws.Flushes
 	return c
 }
 
@@ -233,7 +231,6 @@ func (m *Machine) ResetStats() {
 		m.l2.ResetStats()
 	}
 	m.org.ResetStats()
-	m.path.resetStats()
 	m.be.ResetStats()
 	for i := range m.occHist {
 		m.occHist[i] = 0
@@ -242,8 +239,8 @@ func (m *Machine) ResetStats() {
 }
 
 // WBStats exposes the write stage's event counters (allocations, merges,
-// …): the write cache's when one is configured, else the write buffer's.
-func (m *Machine) WBStats() core.Stats { return m.path.stats() }
+// …).
+func (m *Machine) WBStats() core.Stats { return m.org.Stats() }
 
 // BackendStats exposes the drain-side backend's event counters (bank
 // conflicts, row hits/misses, overlap cycles) — all zero under the flat
@@ -665,13 +662,33 @@ func (m *Machine) store(addr mem.Addr) {
 	// Write-through, write-around: update L1 only if the line is present;
 	// the data always enters the write stage.
 	m.l1.WriteHit(addr)
-	if bp := m.bp; bp != nil {
-		m.occHist[m.wbOccupancy()]++
-		bp.store(addr, t)
+	m.occHist[m.wbOccupancy()]++
+	switch m.wbStore(addr, t) {
+	case core.StoreAllocated:
+		m.stateChangedAt = t
+		m.clock = t + m.base
+		return
+	case core.StoreMerged:
+		m.clock = t + m.base
 		return
 	}
-	m.occHist[m.path.storeOccupancy()]++
-	m.path.store(addr, t)
+	// Buffer-full stall (Section 2.3) until retirements free an entry the
+	// store can use.  The FIFO needs exactly one freed entry; a striped
+	// organization may need several retirements before one lands in the
+	// store's home buffer, so the wait loops — every cycle of it is still
+	// one buffer-full stall.  A write cache waits for its victim slot.
+	m.c.BlockedStores++
+	tFree := m.waitForFree(t)
+	for m.wbStore(addr, tFree) == core.StoreBlocked {
+		if m.rb != nil {
+			panic("sim: store still blocked after an entry was freed")
+		}
+		tFree = m.waitForFree(tFree)
+	}
+	m.stateChangedAt = tFree
+	stall := tFree - t
+	m.c.AddStall(stats.BufferFull, stall)
+	m.clock = t + m.base + stall
 }
 
 // waitForFree advances time until a retirement completes, freeing an entry
@@ -718,11 +735,6 @@ func (m *Machine) load(addr mem.Addr) {
 		return
 	}
 	m.drainTo(t)
-
-	// The plain buffer path has no front-side store to probe.
-	if m.bp == nil && m.path.frontProbe(addr, t) {
-		return
-	}
 
 	idx, wordValid, wbHit := m.wbProbe(addr)
 	if wbHit {
@@ -904,7 +916,6 @@ func (m *Machine) fenceDrain(t uint64) uint64 {
 		addr := m.wbAddrOf(e)
 		portStart = m.be.Write(addr, portStart, m.cfg.writeLat()+m.l2WritePenalty(addr, e.Valid))
 	}
-	portStart = m.path.drainAll(portStart)
 	m.portBusyUntil = portStart
 	m.stateChangedAt = portStart
 	return portStart

@@ -72,20 +72,7 @@ func ftlShapes() map[string]Config {
 // non-degenerate ftl shapes: the batched path must reproduce per-reference
 // stepping bit for bit under striping, forced drains, and coarse masks.
 func TestFTLFusedMatchesLegacy(t *testing.T) {
-	const n = 40_000
-	for name, cfg := range ftlShapes() {
-		for _, bench := range fusedBenches {
-			b, _ := workload.ByName(bench)
-			legacy := MustNew(cfg)
-			runLegacy(legacy, b.Stream(n), n)
-			fused := MustNew(cfg)
-			runFused(fused, b.Stream(n), n)
-			if want, got := snapshot(legacy), snapshot(fused); !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: fused path diverged\nlegacy: %+v\nfused:  %+v",
-					name, bench, want, got)
-			}
-		}
-	}
+	assertFusedMatchesLegacy(t, ftlShapes(), fusedBenches)
 }
 
 // TestFTLStripingChangesTiming is the sanity check that numbuffers is a
@@ -118,20 +105,7 @@ func TestFTLStripingChangesTiming(t *testing.T) {
 func TestZeroAllocSteadyStateFTL(t *testing.T) {
 	refs := benchRefs(1 << 12)
 	for name, cfg := range ftlShapes() {
-		m := MustNew(cfg)
-		m.StepBatch(refs)
-		i := 0
-		if avg := testing.AllocsPerRun(200, func() {
-			m.Step(refs[i&(len(refs)-1)])
-			i++
-		}); avg != 0 {
-			t.Errorf("%s: Step allocates %.1f per call in steady state", name, avg)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
-			m.StepBatch(refs)
-		}); avg != 0 {
-			t.Errorf("%s: StepBatch allocates %.1f per batch in steady state", name, avg)
-		}
+		assertZeroAlloc(t, name, cfg, refs)
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 
 // Write-buffer organization accessors.  The machine drives its write stage
 // through core.BufferOrg (m.org), but the overwhelmingly common
-// organization is the ring FIFO — the paper's buffer and the write cache's
-// victim buffer — so each accessor first checks the devirtualized m.rb and
-// calls the concrete method the compiler can inline, the same pattern the
-// store path uses with m.bp.  Only a non-FIFO organization (ftl, or a
+// organization is the paper's ring FIFO, so each accessor first checks the
+// devirtualized m.rb and calls the concrete method the compiler can
+// inline.  Only another organization (ftl, the write cache, or a
 // registered custom one) pays interface dispatch per call.
 
 func (m *Machine) wbOccupancy() int {

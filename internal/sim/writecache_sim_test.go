@@ -31,7 +31,7 @@ func TestWriteCacheConfigValidation(t *testing.T) {
 }
 
 // Stores into a write cache never stall until an eviction collides with a
-// busy victim buffer.
+// busy victim slot.
 func TestWriteCacheStoresAbsorbWithoutStall(t *testing.T) {
 	m := run(t, wcConfig(4), []trace.Ref{
 		{Kind: trace.Store, Addr: lineA},
@@ -49,19 +49,19 @@ func TestWriteCacheStoresAbsorbWithoutStall(t *testing.T) {
 }
 
 // Filling a 2-deep write cache with a third line evicts the LRU block into
-// the victim buffer; the store itself proceeds without stalling.  A fourth
+// the victim slot; the store itself proceeds without stalling.  A fourth
 // line evicts again while the first victim is still being written: that
-// store waits for the victim buffer.
+// store waits for the victim slot.
 func TestWriteCacheEvictionTiming(t *testing.T) {
 	m := run(t, wcConfig(2), []trace.Ref{
 		{Kind: trace.Store, Addr: lineA}, // t=0
 		{Kind: trace.Store, Addr: lineB}, // t=1
-		{Kind: trace.Store, Addr: lineC}, // t=2: evict A -> victim buffer
+		{Kind: trace.Store, Addr: lineC}, // t=2: evict A -> victim slot
 		{Kind: trace.Store, Addr: lineD}, // t=3: evict B, victim busy with A
 	})
 	c := m.Counters()
 	// A's victim write runs [2,8) (parked and eligible at t=2, the same
-	// convention as buffer retirements).  At t=3 the victim buffer is
+	// convention as buffer retirements).  At t=3 the victim slot is
 	// still writing A, so B's eviction waits until 8: stall 5.
 	if got := c.Stalls[stats.BufferFull]; got != 5 {
 		t.Errorf("buffer-full stall = %d, want 5", got)
@@ -86,6 +86,19 @@ func TestWriteCacheServicesReads(t *testing.T) {
 	}
 	if c.WBReadHits != 1 {
 		t.Fatalf("WB read hits = %d, want 1", c.WBReadHits)
+	}
+}
+
+// The victim still holds its data while it is written back, so a load of
+// it is forwarded like a line hit.
+func TestWriteCacheServicesReadsFromVictim(t *testing.T) {
+	m := run(t, wcConfig(1), []trace.Ref{
+		{Kind: trace.Store, Addr: lineA}, // t=0
+		{Kind: trace.Store, Addr: lineB}, // t=1: A to the victim slot, written back [1,7)
+		{Kind: trace.Load, Addr: lineA},  // t=2: forwarded from the retiring victim
+	})
+	if c := m.Counters(); c.Cycles != 3 || c.WBReadHits != 1 || c.Retirements != 0 {
+		t.Fatalf("cycles %d, WB read hits %d, retirements %d; want 3, 1, 0", c.Cycles, c.WBReadHits, c.Retirements)
 	}
 }
 
